@@ -20,12 +20,12 @@
  *
  * `--smoke` shrinks the sweep for CI; `--check` exits non-zero if a
  * robustness invariant breaks (sharing absent, ladder out of order, a
- * healthy session harmed). bench_history gates the hit-ratio
+ * healthy session harmed) or the largest leg's event, delivery and
+ * render counts leave their recorded goldens. bench_history gates the hit-ratio
  * trajectory against results/BENCH_fleet.json.
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -64,12 +64,12 @@ struct SweepPoint
 /** One fleet run: N sessions with distinct trajectories, one world. */
 SweepPoint
 runSweepPoint(int sessions, int players, double durationS, int renderW,
-              int renderH, bool serialEngine = false)
+              int renderH)
 {
     FleetCapacity cap;
     cap.maxSessions = sessions;
     cap.maxClients = sessions * players;
-    SessionManager mgr(cap, {}, 256ull << 20, serialEngine);
+    SessionManager mgr(cap);
 
     // One preprocessed base per point, wired to the manager's shared
     // cache — the multi-tenant deployment shape. Similarity
@@ -167,6 +167,23 @@ toJson(const SweepPoint &p)
     row.set("wall_per_sim_s", obs::Json(p.wallPerSimS));
     return row;
 }
+
+/**
+ * Golden counts of the largest sweep leg per mode (executed DES events,
+ * frame deliveries, shared-cache renders). Events and deliveries were
+ * recorded from the serial event loop the lane engine replaced, which
+ * the lane engine matched exactly. So were the smoke renders; the full
+ * leg's cache evicts, and the serial loop's inline cache accesses gave
+ * its LRU a different history (56546 renders), so its renders golden
+ * is the lane engine's own count.
+ */
+struct LegGolden
+{
+    const char *key;
+    std::uint64_t events, deliveries, renders;
+};
+constexpr LegGolden kGoldenSmoke{"s8_p2", 11274, 2548, 1273};
+constexpr LegGolden kGoldenFull{"s128_p4", 848894, 115688, 56522};
 
 /** The governed overload fleet: healthy + hopeless sessions. */
 struct OverloadOutcome
@@ -284,58 +301,26 @@ main(int argc, char **argv)
             std::snprintf(key, sizeof key, "s%d_p%d", sessions, players);
             obs::Json row = toJson(p);
 
-            // A/B the engines on the largest leg: the same fleet once
-            // more through the pre-lane serial event loop. Frame
-            // deliveries are bit-identical (the determinism contract).
-            // Shared-cache miss counts are too — unless the cache
-            // evicted: the engines order cache accesses differently
-            // (inline per delivery vs barrier-batched), so once LRU
-            // pressure kicks in their eviction histories legitimately
-            // drift, and the miss tally gets a 0.5% band instead.
-            if (sessions == sessionCounts.back() &&
-                players == playerCounts.back()) {
-                const SweepPoint serial =
-                    runSweepPoint(sessions, players, durationS, renderW,
-                                  renderH, /*serialEngine=*/true);
-                const double speedup =
-                    p.wallS > 0.0 ? serial.wallS / p.wallS : 0.0;
-                std::printf("  %8s %7s | serial-engine wall %.2fs, "
-                            "lane-engine wall %.2fs, sim speedup "
-                            "%.2fx\n",
-                            "", "", serial.wallS, p.wallS, speedup);
-                row.set("serial_engine_wall_s",
-                        obs::Json(serial.wallS));
-                row.set("engine_speedup", obs::Json(speedup));
-                const bool evicted =
-                    p.cacheEvictions != 0 || serial.cacheEvictions != 0;
-                const double renderDrift =
-                    serial.renders > 0
-                        ? std::abs(static_cast<double>(p.renders) -
-                                   static_cast<double>(serial.renders)) /
-                              static_cast<double>(serial.renders)
-                        : 0.0;
-                if (serial.deliveries != p.deliveries ||
-                    (evicted ? renderDrift > 0.005
-                             : serial.renders != p.renders)) {
-                    std::printf("  CHECK FAILED: serial and lane "
-                                "engines disagree on %s (deliveries "
-                                "%llu vs %llu, renders %llu vs %llu, "
-                                "cache evictions %llu vs %llu)\n",
-                                key,
-                                static_cast<unsigned long long>(
-                                    serial.deliveries),
-                                static_cast<unsigned long long>(
-                                    p.deliveries),
-                                static_cast<unsigned long long>(
-                                    serial.renders),
-                                static_cast<unsigned long long>(
-                                    p.renders),
-                                static_cast<unsigned long long>(
-                                    serial.cacheEvictions),
-                                static_cast<unsigned long long>(
-                                    p.cacheEvictions));
-                    ok = false;
-                }
+            // The largest leg must reproduce its golden counts exactly
+            // (the determinism contract, pinned to recorded numbers).
+            const LegGolden &golden = smoke ? kGoldenSmoke : kGoldenFull;
+            if (key == std::string(golden.key) &&
+                (p.events != golden.events ||
+                 p.deliveries != golden.deliveries ||
+                 p.renders != golden.renders)) {
+                std::printf("  CHECK FAILED: %s diverged from the golden "
+                            "counts (events %llu vs %llu, deliveries "
+                            "%llu vs %llu, renders %llu vs %llu)\n",
+                            key,
+                            static_cast<unsigned long long>(p.events),
+                            static_cast<unsigned long long>(golden.events),
+                            static_cast<unsigned long long>(p.deliveries),
+                            static_cast<unsigned long long>(
+                                golden.deliveries),
+                            static_cast<unsigned long long>(p.renders),
+                            static_cast<unsigned long long>(
+                                golden.renders));
+                ok = false;
             }
             points.set(key, std::move(row));
 

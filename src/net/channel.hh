@@ -131,17 +131,6 @@ class SharedChannel
     const ChannelParams &params() const { return params_; }
     const sim::FaultPlan *faults() const { return faults_; }
 
-    /**
-     * Conservative-PDES lookahead floor (DESIGN.md §12): no transfer
-     * can complete — and therefore no cross-entity interaction through
-     * this channel can take effect — sooner than the fixed
-     * request+ACK RTT floor after it is requested. The constructor
-     * declares this bound to the driving queue (`noteLookaheadFloor`),
-     * which is what lets a parallel engine advance other lanes up to
-     * `now + lookaheadFloorMs()` without waiting on this one.
-     */
-    sim::TimeMs lookaheadFloorMs() const { return params_.baseLatencyMs; }
-
   private:
     struct Transfer
     {

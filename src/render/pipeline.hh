@@ -2,8 +2,8 @@
  * @file
  * Row-batched SoA render pipeline.
  *
- * renderPanorama/renderPerspective's batched path splits the per-pixel
- * `shadeRay` into four stages over row-sized buffers:
+ * renderPanorama/renderPerspective split the per-pixel `shadeRay` into
+ * four stages over row-sized buffers:
  *
  *   1. direction generation — per-row trig hoisted (camera row basis),
  *      unit directions written SoA;
@@ -16,8 +16,9 @@
  *      pixel loop, then compositing (clip key / sky).
  *
  * Every stage preserves the scalar expression sequence per pixel, so a
- * batched frame is byte-identical to the per-pixel `RenderPath::Scalar`
- * frame (and to the seed renderer) — asserted by tests/renderer_test.cc.
+ * batched frame is byte-identical to a frame of per-pixel `shadeRay`
+ * calls — asserted, with recorded golden digests, by
+ * tests/renderer_test.cc.
  */
 
 #pragma once

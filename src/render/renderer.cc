@@ -22,13 +22,14 @@ using image::Rgb;
 namespace {
 
 /**
- * Run @p fn(row) over [0, rows) via the shared thread pool. Rows write
- * disjoint pixels, so any chunking is deterministic. A small fixed
- * grain keeps the BVH-heavy rows load-balanced.
+ * Run @p fn(begin, end) over row chunks of [0, rows) via the shared
+ * thread pool. Rows write disjoint pixels, so any chunking is
+ * deterministic. A small fixed grain keeps the BVH-heavy rows
+ * load-balanced.
  */
-template <typename Fn>
+template <typename ChunkFn>
 void
-parallelRows(int rows, int threads, Fn &&fn)
+parallelRowChunks(int rows, int threads, ChunkFn &&fn)
 {
     support::parallelFor(
         0, rows, 4,
@@ -40,8 +41,7 @@ parallelRows(int rows, int threads, Fn &&fn)
             // thread, then drain what this chunk's rays accumulated.
             // One registry add per chunk — nothing per ray.
             world::Bvh::takeThreadStats();
-            for (std::int64_t y = b; y < e; ++y)
-                fn(static_cast<int>(y));
+            fn(static_cast<int>(b), static_cast<int>(e));
             const world::Bvh::TraversalStats stats =
                 world::Bvh::takeThreadStats();
             COTERIE_COUNT_N("bvh.nodes_visited", stats.nodesVisited);
@@ -50,16 +50,22 @@ parallelRows(int rows, int threads, Fn &&fn)
         threads);
 }
 
+/** Run @p fn(row) for every row of [0, rows) via parallelRowChunks. */
+template <typename Fn>
+void
+parallelRows(int rows, int threads, Fn &&fn)
+{
+    parallelRowChunks(rows, threads, [&](int b, int e) {
+        for (int y = b; y < e; ++y)
+            fn(y);
+    });
+}
+
 /**
- * Emit cumulative `bvh.*` counter tracks after a frame so traces carry
- * the traversal-cost trajectory (trace_report folds them into its
- * render section). Cheap no-op unless a trace is recording.
- */
-/**
- * Batched frame body shared by renderPanorama and renderPerspective:
- * chunked rows through the staged pipeline with per-chunk scratch
- * buffers, BVH stats drained exactly like `parallelRows`. @p dirFn
- * runs stage 1 (projection-specific direction generation) for a row.
+ * The frame body shared by renderPanorama and renderPerspective: row
+ * chunks through the staged pipeline with per-chunk scratch buffers.
+ * @p dirFn runs stage 1 (projection-specific direction generation) for
+ * a row.
  */
 template <typename DirFn>
 void
@@ -67,41 +73,34 @@ batchedFrame(const world::VirtualWorld &world, Vec3 origin,
              const RenderOptions &opts, int width, int height,
              Image &frame, DirFn &&dirFn)
 {
-    support::parallelFor(
-        0, height, 4,
-        [&](std::int64_t b, std::int64_t e) {
-            COTERIE_SPAN("render.rows", "render");
-            COTERIE_COUNT_N("render.rows", e - b);
-            world::Bvh::takeThreadStats();
-            detail::RowBuffers rows;
-            rows.resize(width);
-            const detail::StageTimers timers{opts.stageTimers};
-            for (std::int64_t row = b; row < e; ++row) {
-                const int y = static_cast<int>(row);
-                timers.run("render.stage.dirs_ms",
-                           [&] { dirFn(y, rows); });
-                timers.run("render.stage.raycast_ms", [&] {
-                    detail::raycastRow(world, origin, opts, width, rows);
-                });
-                timers.run("render.stage.terrain_ms", [&] {
-                    detail::terrainRow(world, origin, opts, width, rows);
-                });
-                timers.run("render.stage.shade_ms", [&] {
-                    detail::shadeRow(world, origin, opts, width, rows);
-                });
-                timers.run("render.stage.sky_ms", [&] {
-                    detail::compositeRow(world, opts, width, rows,
-                                         &frame.at(0, y));
-                });
-            }
-            const world::Bvh::TraversalStats stats =
-                world::Bvh::takeThreadStats();
-            COTERIE_COUNT_N("bvh.nodes_visited", stats.nodesVisited);
-            COTERIE_COUNT_N("bvh.leaf_tests", stats.leafTests);
-        },
-        opts.threads);
+    parallelRowChunks(height, opts.threads, [&](int b, int e) {
+        detail::RowBuffers rows;
+        rows.resize(width);
+        const detail::StageTimers timers{opts.stageTimers};
+        for (int y = b; y < e; ++y) {
+            timers.run("render.stage.dirs_ms", [&] { dirFn(y, rows); });
+            timers.run("render.stage.raycast_ms", [&] {
+                detail::raycastRow(world, origin, opts, width, rows);
+            });
+            timers.run("render.stage.terrain_ms", [&] {
+                detail::terrainRow(world, origin, opts, width, rows);
+            });
+            timers.run("render.stage.shade_ms", [&] {
+                detail::shadeRow(world, origin, opts, width, rows);
+            });
+            timers.run("render.stage.sky_ms", [&] {
+                detail::compositeRow(world, opts, width, rows,
+                                     &frame.at(0, y));
+            });
+        }
+    });
 }
 
+/**
+ * Emit cumulative `bvh.*` counter tracks after a frame so traces carry
+ * the traversal-cost trajectory (trace_report folds them into its
+ * render section). Cheap no-op unless a trace is recording.
+ */
 void
 traceBvhCounters()
 {
@@ -131,23 +130,13 @@ Renderer::shadeRay(const Ray &ray, const RenderOptions &opts) const
     if (clipped.tMin < clipped.tMax)
         obj_hit = world_.bvh().closestHit(clipped);
 
-    // Terrain hit within the same interval. The default path caps the
-    // march at the object hit (result-identical, see
-    // Terrain::intersect); SeedScalar runs the seed's per-sample march.
+    // Terrain hit within the same interval, by the one-sample-at-a-time
+    // reference march (the batched pipeline's SIMD march is pinned to
+    // it bit for bit).
     double terrain_t = std::numeric_limits<double>::infinity();
     if (clipped.tMin < clipped.tMax) {
-        std::optional<double> t;
-        if (opts.path == RenderPath::SeedScalar) {
-            t = world_.terrain().intersectReference(clipped,
-                                                    opts.terrainMaxDist);
-        } else {
-            const double abort_beyond =
-                obj_hit.valid()
-                    ? obj_hit.t
-                    : std::numeric_limits<double>::infinity();
-            t = world_.terrain().intersect(clipped, opts.terrainMaxDist,
-                                           abort_beyond);
-        }
+        const std::optional<double> t = world_.terrain().intersectReference(
+            clipped, opts.terrainMaxDist);
         if (t && *t >= clipped.tMin && *t <= clipped.tMax)
             terrain_t = *t;
     }
@@ -205,24 +194,11 @@ Renderer::renderPerspective(const Camera &camera, int width, int height,
         static_cast<double>(width) / static_cast<double>(height);
     RenderOptions local = opts;
     local.pixelAngleRad = camera.fovY / static_cast<double>(height);
-    if (opts.path == RenderPath::Batched) {
-        batchedFrame(world_, camera.position, local, width, height, frame,
-                     [&](int y, detail::RowBuffers &rows) {
-                         detail::perspectiveRowDirs(camera, aspect, y,
-                                                    width, height, rows);
-                     });
-    } else {
-        parallelRows(height, opts.threads, [&](int y) {
-            const double sy = 1.0 - 2.0 * (y + 0.5) / height;
-            for (int x = 0; x < width; ++x) {
-                const double sx = 2.0 * (x + 0.5) / width - 1.0;
-                Ray ray;
-                ray.origin = camera.position;
-                ray.dir = camera.rayDirection(sx, sy, aspect);
-                frame.at(x, y) = shadeRay(ray, local);
-            }
-        });
-    }
+    batchedFrame(world_, camera.position, local, width, height, frame,
+                 [&](int y, detail::RowBuffers &rows) {
+                     detail::perspectiveRowDirs(camera, aspect, y, width,
+                                                height, rows);
+                 });
     traceBvhCounters();
     return frame;
 }
@@ -237,23 +213,10 @@ Renderer::renderPanorama(Vec3 eye, int width, int height,
     Image frame(width, height);
     RenderOptions local = opts;
     local.pixelAngleRad = M_PI / static_cast<double>(height);
-    if (opts.path == RenderPath::Batched) {
-        batchedFrame(world_, eye, local, width, height, frame,
-                     [&](int y, detail::RowBuffers &rows) {
-                         detail::panoramaRowDirs(y, width, height, rows);
-                     });
-    } else {
-        parallelRows(height, opts.threads, [&](int y) {
-            const double v = (y + 0.5) / height;
-            for (int x = 0; x < width; ++x) {
-                const double u = (x + 0.5) / width;
-                Ray ray;
-                ray.origin = eye;
-                ray.dir = panoramaDirection(u, v);
-                frame.at(x, y) = shadeRay(ray, local);
-            }
-        });
-    }
+    batchedFrame(world_, eye, local, width, height, frame,
+                 [&](int y, detail::RowBuffers &rows) {
+                     detail::panoramaRowDirs(y, width, height, rows);
+                 });
     traceBvhCounters();
     return frame;
 }

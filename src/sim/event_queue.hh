@@ -78,16 +78,6 @@ class EventQueue
     /** Events executed since construction (throughput reporting). */
     virtual std::uint64_t executedEvents() const { return executed_; }
 
-    /**
-     * A channel (or any cross-lane coupling) declares its minimum
-     * cross-entity interaction delay — the conservative-PDES lookahead
-     * floor. The serial engine has no lanes to synchronize, so this is
-     * a no-op; `ParallelEventQueue` records the minimum declared floor
-     * and uses it to bound how far lanes may run ahead of each other
-     * when cross-lane traffic is enabled.
-     */
-    virtual void noteLookaheadFloor(TimeMs floorMs) { (void)floorMs; }
-
   protected:
     struct Event
     {

@@ -52,8 +52,6 @@ ParallelEventQueue::~ParallelEventQueue() = default;
 std::uint32_t
 ParallelEventQueue::createLane()
 {
-    if (!laneMode_)
-        return 0;
     COTERIE_ASSERT(currentLane() == 0,
                    "createLane must be called from the control plane");
     auto lane = std::make_unique<Lane>();
@@ -116,43 +114,6 @@ void
 ParallelEventQueue::setBarrierHook(std::function<void()> hook)
 {
     barrierHook_ = std::move(hook);
-}
-
-void
-ParallelEventQueue::noteLookaheadFloor(TimeMs floorMs)
-{
-    COTERIE_ASSERT(floorMs > 0.0,
-                   "lookahead floor must be positive: ", floorMs);
-    lookahead_ = std::min(lookahead_, floorMs);
-}
-
-void
-ParallelEventQueue::enableCrossLane()
-{
-    COTERIE_ASSERT(lookahead_ > 0.0 && std::isfinite(lookahead_),
-                   "enableCrossLane needs a declared finite lookahead "
-                   "floor (noteLookaheadFloor)");
-    crossLane_ = true;
-}
-
-void
-ParallelEventQueue::scheduleCross(std::uint32_t targetLane, TimeMs when,
-                                  EventFn fn)
-{
-    const std::uint32_t from = currentLane();
-    COTERIE_ASSERT(from != 0,
-                   "scheduleCross is lane-to-lane; the control plane "
-                   "schedules into lanes via runInLane");
-    COTERIE_ASSERT(crossLane_, "scheduleCross without enableCrossLane");
-    COTERIE_ASSERT(targetLane >= 1 && targetLane <= lanes_.size(),
-                   "scheduleCross: no such lane ", targetLane);
-    Lane &ln = *lanes_[from - 1];
-    COTERIE_ASSERT(when >= ln.q->now() + lookahead_,
-                   "scheduleCross violates the conservative lookahead "
-                   "contract: ",
-                   when, " < ", ln.q->now(), " + ", lookahead_);
-    ln.outbox.push_back(
-        CrossEvent{targetLane, when, ln.sendSeq++, std::move(fn)});
 }
 
 TimeMs
@@ -227,18 +188,9 @@ ParallelEventQueue::anyPosted() const
     if (!controlPosted_.empty())
         return true;
     for (const auto &ln : lanes_)
-        if (!ln->posted.empty() || !ln->outbox.empty())
+        if (!ln->posted.empty())
             return true;
     return false;
-}
-
-TimeMs
-ParallelEventQueue::minLaneNow() const
-{
-    TimeMs t = std::numeric_limits<TimeMs>::infinity();
-    for (const auto &ln : lanes_)
-        t = std::min(t, ln->q->now());
-    return t;
 }
 
 void
@@ -246,14 +198,11 @@ ParallelEventQueue::round(TimeMs cap)
 {
     // 1. The round horizon: the next control event (nothing a lane
     //    cannot yet see can happen before it), capped by the caller's
-    //    horizon and — when cross-lane traffic is enabled — by the
-    //    conservative lookahead bound: no lane may outrun the earliest
-    //    event the slowest lane could still send it.
+    //    horizon. Lanes never schedule into each other, so no further
+    //    bound is needed.
     TimeMs horizon = cap;
     if (!heap_.empty())
         horizon = std::min(horizon, heap_.top().when);
-    if (crossLane_ && !lanes_.empty())
-        horizon = std::min(horizon, minLaneNow() + lookahead_);
 
     // 2. Advance every lane to the horizon in parallel. Chunk grain 1
     //    = one lane per chunk; chunk boundaries (and therefore what
@@ -276,27 +225,7 @@ ParallelEventQueue::round(TimeMs cap)
             });
     }
 
-    // 3. Merge cross-lane sends in (source lane id, timestamp,
-    //    sequence) order. The lookahead contract guarantees every
-    //    `when` is at or past the horizon the target just reached, so
-    //    insertion never violates the target's clock.
-    for (auto &lnp : lanes_) {
-        Lane &ln = *lnp;
-        if (ln.outbox.empty())
-            continue;
-        std::stable_sort(ln.outbox.begin(), ln.outbox.end(),
-                         [](const CrossEvent &a, const CrossEvent &b) {
-                             if (a.when != b.when)
-                                 return a.when < b.when;
-                             return a.seq < b.seq;
-                         });
-        for (CrossEvent &ev : ln.outbox)
-            lanes_[ev.target - 1]->q->scheduleAt(ev.when,
-                                                 std::move(ev.fn));
-        ln.outbox.clear();
-    }
-
-    // 4. Advance the control clock to the barrier instant before any
+    // 3. Advance the control clock to the barrier instant before any
     //    control-plane code runs: with a finite horizon that is the
     //    horizon itself; with lanes fully drained it is the farthest
     //    lane clock (both pure functions of simulation state).
@@ -307,7 +236,7 @@ ParallelEventQueue::round(TimeMs cap)
         now_ = std::max(now_, horizon);
     }
 
-    // 5. Barrier hook (the fleet's deferred shared-cache render
+    // 4. Barrier hook (the fleet's deferred shared-cache render
     //    batch), then lane-posted control actions in (lane id, posted
     //    time, sequence) order — already sorted by construction: the
     //    control buffer is lane 0, lane buffers append in monotone
@@ -324,10 +253,10 @@ ParallelEventQueue::round(TimeMs cap)
     for (Posted &p : posted)
         p.fn();
 
-    // 6. Control events up to the horizon, serially. These may admit
+    // 5. Control events up to the horizon, serially. These may admit
     //    new sessions (creating lanes) or schedule further control
-    //    events inside the round; the loop keeps the control plane
-    //    exactly as serial as the old engine.
+    //    events inside the round; the control plane stays fully
+    //    serial.
     while (!heap_.empty() && heap_.top().when <= horizon)
         EventQueue::step();
 }
@@ -371,8 +300,6 @@ ParallelEventQueue::reset()
     lanes_.clear();
     controlPosted_.clear();
     controlPostSeq_ = 0;
-    crossLane_ = false;
-    lookahead_ = kNoLookahead;
 }
 
 } // namespace coterie::sim

@@ -1,30 +1,27 @@
 /**
  * @file
- * Parallel discrete-event engine: per-session lanes with conservative
- * lookahead (DESIGN.md §12).
+ * Parallel discrete-event engine: per-session lanes advancing between
+ * control-plane barriers (DESIGN.md §12).
  *
- * The serial `sim::EventQueue` drives the whole fleet on one core. The
- * engine here shards events into **lanes** — one serial `LaneQueue`
+ * A serial `sim::EventQueue` would drive the whole fleet on one core.
+ * The engine here shards events into **lanes** — one serial `LaneQueue`
  * per fleet session plus a lane-0 *control plane* (the manager's
  * admission wakes, governor ticks, and finalize horizons). Rounds
  * alternate:
  *
  *   1. every lane advances independently (on the shared thread pool)
- *      up to the round horizon — the next control-event time, further
- *      capped at `min(laneNow) + lookahead` when cross-lane traffic is
- *      enabled (the conservative-PDES null-message bound; the channel
- *      latency floor registered via noteLookaheadFloor);
- *   2. cross-lane sends buffered during the round merge into their
- *      target lanes in **(source lane id, timestamp, sequence)** order;
- *   3. the barrier hook runs (the fleet drains its deferred
+ *      up to the round horizon — the next control-event time. Fleet
+ *      sessions never schedule into each other, so no lane needs to
+ *      wait on another's clock inside a round;
+ *   2. the barrier hook runs (the fleet drains its deferred
  *      shared-cache render batch here);
- *   4. lane-posted control actions drain in the same (lane id, posted
- *      time, sequence) order;
- *   5. control events at or before the horizon run serially.
+ *   3. lane-posted control actions drain in **(lane id, posted time,
+ *      sequence)** order;
+ *   4. control events at or before the horizon run serially.
  *
  * Determinism argument: within a lane, events run in exactly the
  * serial engine's (time, FIFO-sequence) order on one thread at a time.
- * Across lanes, every interaction is funneled through steps 2–5, whose
+ * Across lanes, every interaction is funneled through steps 2–4, whose
  * order is a pure function of simulation state — never of wall-clock
  * interleaving — so results are bit-identical at any COTERIE_THREADS.
  *
@@ -39,7 +36,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -72,26 +68,18 @@ class LaneQueue final : public EventQueue
 /**
  * The parallel engine. A drop-in `EventQueue`: with no lanes created
  * it degenerates to the serial queue (one control heap, global FIFO
- * sequence), which is also the serial baseline the benches A/B
- * against.
+ * sequence).
  */
 class ParallelEventQueue final : public EventQueue
 {
   public:
-    /** @p laneMode false forces the serial degenerate mode: createLane
-     *  returns 0 and everything runs on the control heap. */
-    explicit ParallelEventQueue(bool laneMode = true)
-        : laneMode_(laneMode)
-    {
-    }
-
     ~ParallelEventQueue() override;
 
     // --- Lane management -------------------------------------------
 
     /** Create a lane whose clock starts at the control clock. Returns
-     *  its id (>= 1), or 0 in serial mode (events stay on the control
-     *  heap). Call from the control plane, never from inside a lane. */
+     *  its id (>= 1). Call from the control plane, never from inside a
+     *  lane. */
     std::uint32_t createLane();
 
     /** Lanes created so far (excluding the control plane). */
@@ -117,11 +105,11 @@ class ParallelEventQueue final : public EventQueue
      * This is how a session's object graph is constructed *into* its
      * lane — ctor-time scheduling (fault-driver arming, client frame
      * staggering) lands in-lane without any signature changes. With
-     * lane 0 (serial mode) @p fn just runs inline.
+     * lane 0 (the control plane) @p fn just runs inline.
      */
     void runInLane(std::uint32_t lane, const std::function<void()> &fn);
 
-    // --- Barrier-deferred cross-lane interaction -------------------
+    // --- Barrier-deferred interaction with the control plane -------
 
     /**
      * Defer @p fn to the next round barrier, to run on the control
@@ -134,39 +122,9 @@ class ParallelEventQueue final : public EventQueue
     void postControl(EventFn fn);
 
     /** Control-plane callback invoked at every round barrier (after
-     *  lanes join and cross-lane merges apply, before posted actions
-     *  and control events). The fleet drains its deferred render
-     *  batch here. */
+     *  lanes join, before posted actions and control events). The
+     *  fleet drains its deferred render batch here. */
     void setBarrierHook(std::function<void()> hook);
-
-    // --- Conservative cross-lane scheduling ------------------------
-
-    /** Record the minimum declared cross-lane interaction delay. */
-    void noteLookaheadFloor(TimeMs floorMs) override;
-
-    /** The recorded lookahead floor (infinity until declared). */
-    TimeMs lookaheadFloorMs() const { return lookahead_; }
-
-    /**
-     * Enable conservative cross-lane scheduling: every round horizon
-     * is additionally capped at `min(laneNow) + lookaheadFloorMs()`,
-     * so no lane can outrun the earliest event another lane could
-     * still send it. Requires a declared (finite, positive) lookahead
-     * floor. Call before running; fleets of isolated sessions never
-     * need it (their mutual lookahead is infinite).
-     */
-    void enableCrossLane();
-
-    /**
-     * Schedule @p fn into another lane from inside a lane. The
-     * conservative contract: @p when must be at least the sender's
-     * `now()` plus the lookahead floor — the channel's per-transfer
-     * latency floor guarantees any real cross-session interaction
-     * satisfies this. The event is buffered in the sender's outbox and
-     * merged into the target lane at the round barrier in (source lane
-     * id, timestamp, sequence) order.
-     */
-    void scheduleCross(std::uint32_t targetLane, TimeMs when, EventFn fn);
 
     // --- EventQueue interface --------------------------------------
 
@@ -187,36 +145,23 @@ class ParallelEventQueue final : public EventQueue
         std::uint64_t seq; ///< per-lane post sequence
         EventFn fn;
     };
-    struct CrossEvent
-    {
-        std::uint32_t target;
-        TimeMs when;
-        std::uint64_t seq; ///< per-sender-lane send sequence
-        EventFn fn;
-    };
-    /** Per-lane state beyond the heap itself. The deferred buffers are
+    /** Per-lane state beyond the heap itself. The posted buffer is
      *  written only by the lane's own (single) executing thread during
-     *  a round and drained only at barriers, so they need no locks.
+     *  a round and drained only at barriers, so it needs no locks.
      *  Growth is bounded by the events of one round: every barrier
-     *  empties them. */
+     *  empties it. */
     struct Lane
     {
         std::unique_ptr<LaneQueue> q;
-        std::vector<Posted> posted;     // bounded: drained every barrier
-        std::vector<CrossEvent> outbox; // bounded: drained every barrier
+        std::vector<Posted> posted; // bounded: drained every barrier
         std::uint64_t postSeq = 0;
-        std::uint64_t sendSeq = 0;
     };
 
     bool anyLaneWork() const;
     bool anyPosted() const;
-    TimeMs minLaneNow() const;
     /** One round up to @p cap (cap = +inf for runToCompletion). */
     void round(TimeMs cap);
 
-    const bool laneMode_;
-    bool crossLane_ = false;
-    TimeMs lookahead_ = kNoLookahead;
     std::vector<std::unique_ptr<Lane>> lanes_;
     /** Control-plane posts (lane id 0 in the merge order). Bounded:
      *  drained every barrier. */
@@ -224,9 +169,6 @@ class ParallelEventQueue final : public EventQueue
     std::uint64_t controlPostSeq_ = 0;
     std::function<void()> barrierHook_;
     bool running_ = false;
-
-    static constexpr TimeMs kNoLookahead =
-        std::numeric_limits<TimeMs>::infinity();
 };
 
 } // namespace coterie::sim

@@ -53,8 +53,7 @@ widestAxis(const Vec3 &extent)
 
 } // namespace
 
-Bvh::Bvh(const std::vector<WorldObject> &objects, BvhBuildPolicy policy)
-    : objects_(objects), policy_(policy)
+Bvh::Bvh(const std::vector<WorldObject> &objects) : objects_(objects)
 {
     if (objects.empty())
         return;
@@ -116,9 +115,8 @@ Bvh::build(std::vector<BuildItem> &items, std::size_t begin,
     if (n <= kLeafSize || depth >= kMaxDepth)
         return emitLeaf(items, begin, end, box);
 
-    // Split selection. Both policies produce (axis, mid); fall through
-    // to a leaf only when no plane separates anything (all centers
-    // coincident).
+    // Split selection produces (axis, mid). Fully coincident centers
+    // split down the middle; everything else goes through binned SAH.
     Aabb centroidBox;
     for (std::size_t i = begin; i < end; ++i)
         centroidBox.extend(items[i].center);
@@ -131,18 +129,6 @@ Bvh::build(std::vector<BuildItem> &items, std::size_t begin,
         // middle by current order so the tree stays balanced.
         axis = 0;
         mid = begin + n / 2;
-    } else if (policy_ == BvhBuildPolicy::Median) {
-        // Widest axis of the node bounds, median of object centers —
-        // the original build.
-        axis = widestAxis(box.extent());
-        mid = begin + n / 2;
-        std::nth_element(
-            items.begin() + static_cast<std::ptrdiff_t>(begin),
-            items.begin() + static_cast<std::ptrdiff_t>(mid),
-            items.begin() + static_cast<std::ptrdiff_t>(end),
-            [axis](const BuildItem &a, const BuildItem &b) {
-                return axisOf(a.center, axis) < axisOf(b.center, axis);
-            });
     } else {
         // Binned SAH over the widest *centroid* axis (width > 0 here:
         // the fully-degenerate case was handled above).
@@ -535,45 +521,6 @@ Bvh::closestHitPacket(const geom::RayPacket &pack,
         out[l].point = laneRays[l].at(t);
         out[l].normal = normal;
     }
-}
-
-Hit
-Bvh::closestHitSeedBaseline(const Ray &ray) const
-{
-    Hit best;
-    best.t = ray.tMax;
-    if (nodes_.empty())
-        return best;
-    std::array<std::int32_t, 128> stack;
-    int sp = 0;
-    stack[sp++] = 0;
-    while (sp > 0) {
-        const std::int32_t idx = stack[static_cast<std::size_t>(--sp)];
-        const Node &node = nodes_[static_cast<std::size_t>(idx)];
-        if (!geom::rayHitsAabb(ray, node.box, best.t))
-            continue;
-        if (node.count > 0) {
-            for (std::int32_t i = 0; i < node.count; ++i) {
-                const std::uint32_t obj_id = items_[
-                    static_cast<std::size_t>(node.rightOrFirst + i)];
-                double t;
-                Vec3 normal;
-                if (intersectObject(ray, objects_[obj_id], t, normal) &&
-                    t < best.t) {
-                    best.t = t;
-                    best.point = ray.at(t);
-                    best.normal = normal;
-                    best.objectId = obj_id;
-                }
-            }
-        } else {
-            COTERIE_ASSERT(sp + 2 <= static_cast<int>(stack.size()),
-                           "BVH traversal stack overflow");
-            stack[static_cast<std::size_t>(sp++)] = idx + 1;
-            stack[static_cast<std::size_t>(sp++)] = node.rightOrFirst;
-        }
-    }
-    return best;
 }
 
 bool

@@ -3,20 +3,16 @@
  * Bounding-volume hierarchy over world objects, used by the renderer
  * (closest-hit ray casts) and by radius queries.
  *
- * Two build policies behind one flattened node layout:
- *  - `BinnedSah` (default): binned surface-area-heuristic splits — the
- *    production build, minimizing expected traversal cost.
- *  - `Median`: the original widest-axis median split, kept for A/B
- *    benchmarking (bench_render) and equivalence testing.
- *
- * Nodes are emitted in depth-first order, so a node's left child is
- * always the next array slot and only the right-child index is stored;
- * traversal descends the near child first using the split axis and the
- * ray-direction sign (front-to-back), pruning with a precomputed
- * inverse-direction slab test against the best hit so far. Closest-hit
- * results are *build-policy independent*: acceptance breaks equal-t
- * ties by lower object id, so SAH and median trees return bit-identical
- * hits (verified by tests/bvh_test.cc).
+ * The build picks split planes by the binned surface-area heuristic,
+ * minimizing expected traversal cost. Nodes are emitted in depth-first
+ * order, so a node's left child is always the next array slot and only
+ * the right-child index is stored; traversal descends the near child
+ * first using the split axis and the ray-direction sign
+ * (front-to-back), pruning with a precomputed inverse-direction slab
+ * test against the best hit so far. Closest-hit results are
+ * *tree-shape independent*: acceptance breaks equal-t ties by lower
+ * object id, so every ray returns exactly the brute-force closest hit
+ * (verified by tests/bvh_test.cc).
  */
 
 #pragma once
@@ -32,13 +28,6 @@
 
 namespace coterie::world {
 
-/** How the BVH chooses split planes. */
-enum class BvhBuildPolicy
-{
-    Median,    ///< widest-axis median of object centers (legacy)
-    BinnedSah, ///< binned surface-area heuristic (default)
-};
-
 /**
  * Static BVH. Leaves hold small runs of object indices; inner nodes are
  * laid out in a flat depth-first array (left child implicit at +1),
@@ -48,15 +37,14 @@ class Bvh
 {
   public:
     /** Build over the given objects (indices refer into this vector). */
-    explicit Bvh(const std::vector<WorldObject> &objects,
-                 BvhBuildPolicy policy = BvhBuildPolicy::BinnedSah);
+    explicit Bvh(const std::vector<WorldObject> &objects);
 
     /**
      * Closest intersection along the ray within [ray.tMin, ray.tMax],
      * respecting per-ray interval clipping (this is how near/far BE
      * separation by cutoff radius is implemented). Equal-t ties resolve
-     * to the lower object id, making the result independent of build
-     * policy and traversal order.
+     * to the lower object id, making the result independent of tree
+     * shape and traversal order.
      */
     geom::Hit closestHit(const geom::Ray &ray) const;
 
@@ -77,16 +65,6 @@ class Bvh
     bool anyHit(const geom::Ray &ray) const;
 
     /**
-     * The pre-overhaul traversal, preserved verbatim as the honest
-     * baseline: unordered child descent and a per-node division-based
-     * slab test (geom::rayHitsAabb), no front-to-back ordering, no id
-     * tie-break. Combined with a `Median` build this reproduces the
-     * seed renderer's hot path. Only bench_render's A/B and the
-     * equivalence tests call it — the renderer always uses closestHit.
-     */
-    geom::Hit closestHitSeedBaseline(const geom::Ray &ray) const;
-
-    /**
      * Visit ids of objects whose AABB intersects the XZ disc
      * (cylinder), in deterministic depth-first traversal order. The
      * allocation-free path for hot callers (cost model, partitioner).
@@ -99,7 +77,6 @@ class Bvh
                                          double radius) const;
 
     std::size_t nodeCount() const { return nodes_.size(); }
-    BvhBuildPolicy policy() const { return policy_; }
 
     /**
      * Per-thread traversal counters (nodes visited / leaf primitive
@@ -146,7 +123,6 @@ class Bvh
                             double &t) const;
 
     const std::vector<WorldObject> &objects_;
-    BvhBuildPolicy policy_;
     std::vector<Node> nodes_;
     std::vector<std::uint32_t> items_;
     /**

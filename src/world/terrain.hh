@@ -80,8 +80,10 @@ class Terrain
                   std::numeric_limits<double>::infinity()) const;
 
     /**
-     * The seed per-sample scalar march, preserved verbatim as the
-     * equivalence baseline for tests and bench_render's seed pipeline.
+     * The per-sample scalar march: the reference `intersect` is pinned
+     * to (tests/terrain_test.cc) and the march `Renderer::shadeRay`
+     * uses, so per-ray reference frames share no SIMD code with the
+     * batched frame pipeline.
      */
     std::optional<double> intersectReference(const geom::Ray &ray,
                                              double maxDist) const;

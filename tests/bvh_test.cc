@@ -79,25 +79,52 @@ class BvhProperty : public testing::TestWithParam<std::uint64_t>
 {
 };
 
+/**
+ * Closest hit is a property of the object set, not of the tree shape
+ * or traversal order: with the deterministic tie-break (min object id
+ * among min-t hits) the traversal returns the brute-force answer bit
+ * for bit. Both sides call the same geom::intersect* kernels, so t is
+ * compared exactly. Two input sets: a small world with whole-ray
+ * intervals, and a larger one where every seventh ray is clipped the
+ * way depth layers clip it.
+ */
 TEST_P(BvhProperty, ClosestHitMatchesBruteForce)
 {
-    const auto objects = randomObjects(60, GetParam());
-    const Bvh bvh(objects);
-    Rng rng(GetParam() ^ 0xabc);
-    for (int i = 0; i < 500; ++i) {
-        Ray ray;
-        ray.origin = {rng.uniform(-60, 60), rng.uniform(-5, 20),
-                      rng.uniform(-60, 60)};
-        ray.dir = Vec3{rng.normal(), rng.normal() * 0.3, rng.normal()}
-                      .normalized();
-        const Hit hit = bvh.closestHit(ray);
-        const auto brute = bruteClosest(objects, ray);
-        if (brute) {
-            ASSERT_TRUE(hit.valid());
-            EXPECT_NEAR(hit.t, brute->first, 1e-9);
-            EXPECT_EQ(hit.objectId, brute->second);
-        } else {
-            EXPECT_FALSE(hit.valid());
+    const struct
+    {
+        int objects;
+        int rays;
+        std::uint64_t objectSeed;
+        std::uint64_t raySeed;
+        double pitchScale;
+        bool clipped;
+    } cases[] = {{60, 500, GetParam(), GetParam() ^ 0xabc, 0.3, false},
+                 {120, 2000, GetParam() ^ 0x5a5a, GetParam() ^ 0xfeed, 0.4,
+                  true}};
+    for (const auto &c : cases) {
+        const auto objects = randomObjects(c.objects, c.objectSeed);
+        const Bvh bvh(objects);
+        Rng rng(c.raySeed);
+        for (int i = 0; i < c.rays; ++i) {
+            Ray ray;
+            ray.origin = {rng.uniform(-60, 60), rng.uniform(-5, 20),
+                          rng.uniform(-60, 60)};
+            ray.dir = Vec3{rng.normal(), rng.normal() * c.pitchScale,
+                           rng.normal()}
+                          .normalized();
+            if (c.clipped && i % 7 == 0)
+                ray.tMax = rng.uniform(5.0, 80.0); // clipped layers too
+            const Hit hit = bvh.closestHit(ray);
+            const auto brute = bruteClosest(objects, ray);
+            if (brute) {
+                ASSERT_TRUE(hit.valid());
+                EXPECT_EQ(hit.t, brute->first);
+                EXPECT_EQ(hit.objectId, brute->second);
+                EXPECT_EQ(hit.point, ray.at(hit.t));
+            } else {
+                EXPECT_FALSE(hit.valid());
+            }
+            EXPECT_EQ(bvh.anyHit(ray), brute.has_value());
         }
     }
 }
@@ -128,76 +155,6 @@ TEST_P(BvhProperty, DiscQueryMatchesBruteForce)
     }
 }
 
-/**
- * The tentpole invariant: the binned-SAH tree and the median-split tree
- * return the *same bits* for every ray — same t, same object, same
- * normal and point — because closest-hit with the deterministic
- * tie-break (min object id among min-t hits) is a property of the
- * object set, not of the tree shape or traversal order. Rendering is
- * therefore build-policy independent, which is what lets the renderer
- * switch to SAH without perturbing determinism_test.
- */
-TEST_P(BvhProperty, SahMatchesMedianBitExact)
-{
-    const auto objects = randomObjects(120, GetParam() ^ 0x5a5a);
-    const Bvh sah(objects, BvhBuildPolicy::BinnedSah);
-    const Bvh median(objects, BvhBuildPolicy::Median);
-    Rng rng(GetParam() ^ 0xfeed);
-    for (int i = 0; i < 2000; ++i) {
-        Ray ray;
-        ray.origin = {rng.uniform(-60, 60), rng.uniform(-5, 20),
-                      rng.uniform(-60, 60)};
-        ray.dir = Vec3{rng.normal(), rng.normal() * 0.4, rng.normal()}
-                      .normalized();
-        if (i % 7 == 0)
-            ray.tMax = rng.uniform(5.0, 80.0); // clipped layers too
-        const Hit a = sah.closestHit(ray);
-        const Hit b = median.closestHit(ray);
-        ASSERT_EQ(a.valid(), b.valid());
-        if (a.valid()) {
-            EXPECT_EQ(a.t, b.t);
-            EXPECT_EQ(a.objectId, b.objectId);
-            EXPECT_EQ(a.normal.x, b.normal.x);
-            EXPECT_EQ(a.normal.y, b.normal.y);
-            EXPECT_EQ(a.normal.z, b.normal.z);
-            EXPECT_EQ(a.point.x, b.point.x);
-            EXPECT_EQ(a.point.y, b.point.y);
-            EXPECT_EQ(a.point.z, b.point.z);
-        }
-        EXPECT_EQ(sah.anyHit(ray), median.anyHit(ray));
-    }
-}
-
-/**
- * The preserved pre-overhaul traversal (bench_render's A/B baseline)
- * agrees with the ordered traversal on both tree shapes. Exact-t ties
- * between distinct objects do not occur in these random worlds, so
- * object ids must match too.
- */
-TEST_P(BvhProperty, SeedBaselineTraversalAgrees)
-{
-    const auto objects = randomObjects(100, GetParam() ^ 0xbeef);
-    const Bvh sah(objects, BvhBuildPolicy::BinnedSah);
-    const Bvh median(objects, BvhBuildPolicy::Median);
-    Rng rng(GetParam() ^ 0xcafe);
-    for (int i = 0; i < 500; ++i) {
-        Ray ray;
-        ray.origin = {rng.uniform(-60, 60), rng.uniform(-5, 20),
-                      rng.uniform(-60, 60)};
-        ray.dir = Vec3{rng.normal(), rng.normal() * 0.3, rng.normal()}
-                      .normalized();
-        for (const Bvh *bvh : {&sah, &median}) {
-            const Hit fast = bvh->closestHit(ray);
-            const Hit base = bvh->closestHitSeedBaseline(ray);
-            ASSERT_EQ(fast.valid(), base.valid());
-            if (fast.valid()) {
-                EXPECT_EQ(fast.t, base.t);
-                EXPECT_EQ(fast.objectId, base.objectId);
-            }
-        }
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, BvhProperty,
                          testing::Values(1, 2, 3, 4, 5));
 
@@ -213,7 +170,7 @@ TEST(Bvh, SahHandlesCoincidentCenters)
         obj.dims = {0.5 + 0.01 * i, 0, 0};
         objects.push_back(obj);
     }
-    const Bvh bvh(objects, BvhBuildPolicy::BinnedSah);
+    const Bvh bvh(objects);
     Ray ray;
     ray.origin = {-20, 1, -2};
     ray.dir = {1, 0, 0};
@@ -226,7 +183,7 @@ TEST(Bvh, SahHandlesCoincidentCenters)
 
 TEST(Bvh, SahSingleObjectAndEmpty)
 {
-    const Bvh empty({}, BvhBuildPolicy::BinnedSah);
+    const Bvh empty({});
     Ray ray;
     ray.origin = {0, 1, 0};
     ray.dir = {1, 0, 0};
@@ -238,7 +195,7 @@ TEST(Bvh, SahSingleObjectAndEmpty)
     obj.position = {6, 1, 0};
     obj.dims = {1.0, 0, 0};
     one.push_back(obj);
-    const Bvh bvh(one, BvhBuildPolicy::BinnedSah);
+    const Bvh bvh(one);
     const Hit hit = bvh.closestHit(ray);
     ASSERT_TRUE(hit.valid());
     EXPECT_NEAR(hit.t, 5.0, 1e-12);
@@ -246,7 +203,7 @@ TEST(Bvh, SahSingleObjectAndEmpty)
 
 /**
  * Overlapping identical shapes: the tie-break must pick the smallest
- * object id regardless of build policy.
+ * object id regardless of where the builder put each object.
  */
 TEST(Bvh, TieBreaksOnObjectIdAcrossPolicies)
 {
@@ -265,13 +222,10 @@ TEST(Bvh, TieBreaksOnObjectIdAcrossPolicies)
     Ray ray;
     ray.origin = {0, 1, 0};
     ray.dir = {1, 0, 0};
-    for (const auto policy :
-         {BvhBuildPolicy::Median, BvhBuildPolicy::BinnedSah}) {
-        const Bvh bvh(objects, policy);
-        const Hit hit = bvh.closestHit(ray);
-        ASSERT_TRUE(hit.valid());
-        EXPECT_EQ(hit.objectId, 0u);
-    }
+    const Bvh bvh(objects);
+    const Hit hit = bvh.closestHit(ray);
+    ASSERT_TRUE(hit.valid());
+    EXPECT_EQ(hit.objectId, 0u);
 }
 
 /** The callback overload yields exactly the vector overload's order. */

@@ -7,9 +7,8 @@
  * vs run-until-horizon, reentrancy) is typed-parameterized over the
  * serial `EventQueue` and the lane-based `ParallelEventQueue` — the
  * parallel merge must preserve exactly what the serial queue promises.
- * Lane-specific behaviour (lane clocks, barrier-deferred posts,
- * deterministic merge order, the conservative lookahead contract) is
- * covered separately below.
+ * Lane-specific behaviour (lane clocks, barrier-deferred posts and
+ * their deterministic merge order) is covered separately below.
  */
 
 #include <gtest/gtest.h>
@@ -194,66 +193,6 @@ TEST(LaneQueue, PostedActionsDrainBeforeControlEventsAtTheBarrier)
     EXPECT_DOUBLE_EQ(q.now(), 10.0);
 }
 
-TEST(LaneQueue, MergeOrderIsLaneThenTimestampThenSequence)
-{
-    // Two sender lanes cross-schedule into a third; deliveries must
-    // interleave by timestamp with lane id breaking ties, regardless
-    // of which lane's events happened to run first.
-    ParallelEventQueue q;
-    q.noteLookaheadFloor(5.0);
-    q.enableCrossLane();
-    const std::uint32_t a = q.createLane();
-    const std::uint32_t b = q.createLane();
-    const std::uint32_t sink = q.createLane();
-    std::vector<std::string> deliveries;
-    auto deliver = [&](std::string tag) {
-        return [&, tag = std::move(tag)] {
-            q.postControl(
-                [&, tag] { deliveries.push_back(tag); });
-        };
-    };
-    q.runInLane(a, [&] {
-        q.scheduleAt(1.0, [&, deliver] {
-            q.scheduleCross(sink, 8.0, deliver("a@8"));
-            q.scheduleCross(sink, 6.0, deliver("a@6"));
-        });
-    });
-    q.runInLane(b, [&] {
-        q.scheduleAt(1.0, [&, deliver] {
-            q.scheduleCross(sink, 6.0, deliver("b@6"));
-        });
-    });
-    q.runToCompletion();
-    EXPECT_EQ(deliveries,
-              (std::vector<std::string>{"a@6", "b@6", "a@8"}));
-}
-
-TEST(LaneQueue, CrossLaneRespectsTheLookaheadCap)
-{
-    // With cross-lane traffic enabled no lane may advance more than
-    // the lookahead floor past the slowest lane in one round, so a
-    // send issued at t can still land at t + lookahead.
-    ParallelEventQueue q;
-    q.noteLookaheadFloor(2.0);
-    q.enableCrossLane();
-    const std::uint32_t fast = q.createLane();
-    const std::uint32_t slow = q.createLane();
-    double deliveredAt = -1.0;
-    q.runInLane(slow, [&] {
-        q.scheduleAt(9.0, [&] {
-            q.scheduleCross(fast, 11.0,
-                            [&] { deliveredAt = q.now(); });
-        });
-    });
-    q.runInLane(fast, [&] {
-        // Busy events well past the sender's send time.
-        for (double t = 1.0; t <= 20.0; t += 1.0)
-            q.scheduleAt(t, [] {});
-    });
-    q.runToCompletion();
-    EXPECT_DOUBLE_EQ(deliveredAt, 11.0);
-}
-
 TEST(LaneQueue, ExecutionIsIdenticalAtAnyWorkerCount)
 {
     // The same lane topology produces the same merge log on repeated
@@ -280,43 +219,6 @@ TEST(LaneQueue, ExecutionIsIdenticalAtAnyWorkerCount)
         return log;
     };
     EXPECT_EQ(run(), run());
-}
-
-TEST(LaneQueueDeath, CrossLaneBelowLookaheadPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ParallelEventQueue q;
-            q.noteLookaheadFloor(5.0);
-            q.enableCrossLane();
-            const std::uint32_t a = q.createLane();
-            const std::uint32_t b = q.createLane();
-            (void)b;
-            q.runInLane(a, [&] {
-                q.scheduleAt(1.0, [&] {
-                    q.scheduleCross(b, 2.0, [] {}); // floor is 5
-                });
-            });
-            q.runToCompletion();
-        },
-        "lookahead");
-}
-
-TEST(LaneQueueDeath, CrossLaneWithoutEnablementPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ParallelEventQueue q;
-            const std::uint32_t a = q.createLane();
-            q.runInLane(a, [&] {
-                q.scheduleAt(1.0,
-                             [&] { q.scheduleCross(a, 100.0, [] {}); });
-            });
-            q.runToCompletion();
-        },
-        "enableCrossLane");
 }
 
 } // namespace

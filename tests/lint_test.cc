@@ -549,7 +549,6 @@ void Widget::tick()
     queue_.scheduleIn(1.0, [] {});
     queue_.scheduleAt(queue_.now() + 5.0, [] {});
     queue_.postControl([] {});
-    queue_.scheduleCross(2, queue_.now() + lookahead_, [] {});
     const auto backlog = mgr_.queue().pending();
     const auto done = mgr_.queue().executedEvents();
 }

@@ -3,10 +3,14 @@
  * Tests for the software renderer: sky/terrain/object shading, the
  * near/far depth-layer decomposition invariant (near merged over far
  * equals the whole frame), chroma-key transparency, panorama cropping,
- * and texture determinism.
+ * texture determinism, and the batched frame pipeline pinned to both
+ * a per-ray reference frame and recorded golden pixel digests.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 #include "render/renderer.hh"
 #include "world/gen/generators.hh"
@@ -189,70 +193,155 @@ TEST(Renderer, DeterministicAcrossThreadCounts)
               renderer.renderPanorama(eye, 64, 32, parallel));
 }
 
+/** FNV-1a over a frame's RGB bytes (the golden-digest currency). */
+std::uint64_t
+frameDigest(const Image &frame)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const Rgb &p : frame.pixels()) {
+        for (const std::uint8_t c : {p.r, p.g, p.b}) {
+            h ^= c;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
 /**
- * Render the same view through all three paths and require byte
- * equality. The pano resolution deliberately includes the poles (first
- * and last rows, where the row basis degenerates toward sp=±1) and the
- * yaw seam (first and last columns).
+ * The per-ray reference frames: `shadeRay` on every pixel's ray, with
+ * the pixel angle the frame entry points set. This is the renderer's
+ * pre-batching frame, built here from the public projection helpers so
+ * the batched pipeline is pinned against an independent loop.
+ */
+Image
+referencePanorama(const Renderer &renderer, Vec3 eye, int width,
+                  int height, RenderOptions opts)
+{
+    opts.pixelAngleRad = M_PI / static_cast<double>(height);
+    Image frame(width, height);
+    for (int y = 0; y < height; ++y) {
+        const double v = (y + 0.5) / height;
+        for (int x = 0; x < width; ++x) {
+            geom::Ray ray;
+            ray.origin = eye;
+            ray.dir = panoramaDirection((x + 0.5) / width, v);
+            frame.at(x, y) = renderer.shadeRay(ray, opts);
+        }
+    }
+    return frame;
+}
+
+Image
+referencePerspective(const Renderer &renderer, const Camera &camera,
+                     int width, int height, RenderOptions opts)
+{
+    opts.pixelAngleRad = camera.fovY / static_cast<double>(height);
+    const double aspect =
+        static_cast<double>(width) / static_cast<double>(height);
+    Image frame(width, height);
+    for (int y = 0; y < height; ++y) {
+        const double sy = 1.0 - 2.0 * (y + 0.5) / height;
+        for (int x = 0; x < width; ++x) {
+            geom::Ray ray;
+            ray.origin = camera.position;
+            ray.dir = camera.rayDirection(2.0 * (x + 0.5) / width - 1.0,
+                                          sy, aspect);
+            frame.at(x, y) = renderer.shadeRay(ray, opts);
+        }
+    }
+    return frame;
+}
+
+/** Batched-frame digests recorded from the byte-identical per-ray
+ *  reference, one row per (world, depth layer). */
+struct FrameGolden
+{
+    world::gen::GameId game;
+    const char *layer; ///< "whole", "near" or "far" (cutoff 25 m)
+    std::uint64_t pano;
+    std::uint64_t persp;
+};
+
+constexpr FrameGolden kFrameGoldens[] = {
+    {world::gen::GameId::Racing, "whole", 0xe12f9702ac8ecd6eull,
+     0x503e6f4906169328ull},
+    {world::gen::GameId::CTS, "whole", 0x6ba5558d5e36f47dull,
+     0xfa2895ccb3dca759ull},
+    {world::gen::GameId::Viking, "whole", 0x3d174988cde5498cull,
+     0x7dfc074b576158d5ull},
+    {world::gen::GameId::Racing, "near", 0x53aea63a704107a7ull,
+     0x2e19680480f300eaull},
+    {world::gen::GameId::CTS, "near", 0x35ba6b4e8169f1ddull,
+     0x9dcd04f6f956568eull},
+    {world::gen::GameId::Viking, "near", 0x3d174988cde5498cull,
+     0x7dfc074b576158d5ull},
+    {world::gen::GameId::Racing, "far", 0x9dc15b8c7ed7e985ull,
+     0x2f8a92c2bcb09aeeull},
+    {world::gen::GameId::CTS, "far", 0x5aaa3a0618cdd36cull,
+     0x4f7ed69abf16f09bull},
+    {world::gen::GameId::Viking, "far", 0xd055825d20fe5623ull,
+     0x9459535a9f7b37f4ull},
+};
+
+/**
+ * Render one (world, layer) view through the batched pipeline and
+ * require (1) byte equality with the per-ray reference and (2) the
+ * recorded golden digest. The 64x32 panorama deliberately includes the
+ * poles (first and last rows, where the row basis degenerates toward
+ * sp=+-1) and the yaw seam (first and last columns).
  */
 void
-expectPathsAgree(const Renderer &renderer, const Vec3 &eye,
-                 RenderOptions opts, const char *tag)
+expectBatchedMatchesReference(const FrameGolden &golden)
 {
-    opts.path = RenderPath::SeedScalar;
-    const Image seed = renderer.renderPanorama(eye, 64, 32, opts);
-    opts.path = RenderPath::Scalar;
-    const Image scalar = renderer.renderPanorama(eye, 64, 32, opts);
-    opts.path = RenderPath::Batched;
-    const Image batched = renderer.renderPanorama(eye, 64, 32, opts);
-    EXPECT_EQ(scalar, seed) << tag << ": scalar pano != seed pano";
-    EXPECT_EQ(batched, seed) << tag << ": batched pano != seed pano";
+    const world::VirtualWorld world = world::gen::makeWorld(golden.game, 42);
+    const Renderer renderer(world);
+    const Vec3 eye = world.eyePosition(world.bounds().center());
+    const std::string tag = world.name() + "/" + golden.layer;
+    RenderOptions opts;
+    if (std::string(golden.layer) == "near")
+        opts.layer = DepthLayer::nearBe(25.0);
+    else if (std::string(golden.layer) == "far")
+        opts.layer = DepthLayer::farBe(25.0);
+
+    const Image pano = renderer.renderPanorama(eye, 64, 32, opts);
+    EXPECT_EQ(pano, referencePanorama(renderer, eye, 64, 32, opts))
+        << tag << ": batched pano != per-ray reference";
+    EXPECT_EQ(frameDigest(pano), golden.pano)
+        << tag << ": pano digest 0x" << std::hex << frameDigest(pano);
 
     Camera cam;
     cam.position = eye;
     cam.yaw = 0.7;
     cam.pitch = -0.2;
-    opts.path = RenderPath::SeedScalar;
-    const Image pseed = renderer.renderPerspective(cam, 40, 30, opts);
-    opts.path = RenderPath::Batched;
-    const Image pbatched = renderer.renderPerspective(cam, 40, 30, opts);
-    EXPECT_EQ(pbatched, pseed) << tag << ": batched persp != seed persp";
+    const Image persp = renderer.renderPerspective(cam, 40, 30, opts);
+    EXPECT_EQ(persp, referencePerspective(renderer, cam, 40, 30, opts))
+        << tag << ": batched persp != per-ray reference";
+    EXPECT_EQ(frameDigest(persp), golden.persp)
+        << tag << ": persp digest 0x" << std::hex << frameDigest(persp);
 }
 
-TEST(Renderer, RenderPathsAgreeAcrossWorlds)
+TEST(Renderer, BatchedMatchesReferenceAcrossWorlds)
 {
-    using world::gen::GameId;
-    for (GameId id : {GameId::Racing, GameId::CTS, GameId::Viking}) {
-        const world::VirtualWorld world = world::gen::makeWorld(id, 42);
-        const Renderer renderer(world);
-        const Vec3 eye = world.eyePosition(world.bounds().center());
-        RenderOptions whole;
-        expectPathsAgree(renderer, eye, whole, world.name().c_str());
-    }
+    for (const FrameGolden &golden : kFrameGoldens)
+        if (std::string(golden.layer) == "whole")
+            expectBatchedMatchesReference(golden);
 }
 
-TEST(Renderer, RenderPathsAgreeOnDepthLayers)
+TEST(Renderer, BatchedMatchesReferenceOnDepthLayers)
 {
     // The near layer exercises the clip-key path (finite farClip) and
-    // the far layer the shifted tMin window; both must agree across
-    // paths, including which pixels collapse to the chroma key.
-    const world::VirtualWorld world =
-        world::gen::makeWorld(world::gen::GameId::Racing, 42);
-    const Renderer renderer(world);
-    const Vec3 eye = world.eyePosition(world.bounds().center());
-    RenderOptions near_opts;
-    near_opts.layer = DepthLayer::nearBe(25.0);
-    expectPathsAgree(renderer, eye, near_opts, "racing/near");
-    RenderOptions far_opts;
-    far_opts.layer = DepthLayer::farBe(25.0);
-    expectPathsAgree(renderer, eye, far_opts, "racing/far");
+    // the far layer the shifted tMin window, including which pixels
+    // collapse to the chroma key.
+    for (const FrameGolden &golden : kFrameGoldens)
+        if (std::string(golden.layer) != "whole")
+            expectBatchedMatchesReference(golden);
 }
 
 TEST(Renderer, BatchedPathDeterministicAcrossThreadCounts)
 {
-    // Chunked row batching must not leak scheduling into pixels: the
-    // batched path at 1 and 4 threads produces identical frames (the
-    // scalar analogue is covered by DeterministicAcrossThreadCounts).
+    // Chunked row batching must not leak scheduling into pixels: a
+    // textured, object-dense world renders identical frames at 1 and 4
+    // threads (DeterministicAcrossThreadCounts covers the tiny world).
     const world::VirtualWorld world =
         world::gen::makeWorld(world::gen::GameId::Pool, 11);
     const Renderer renderer(world);
