@@ -9,10 +9,12 @@
  *
  *   $ ./quickstart [players] [seconds]
  *
- * With COTERIE_TRACE=<basename> in the environment, records the whole
- * run through coterie-scope and writes `<basename>.trace.json` (Chrome
- * trace_event — open in Perfetto or feed to trace_report) plus
- * `<basename>.metrics.json` (the metrics-registry snapshot).
+ * With COTERIE_TRACE=<basename> in the environment, captures the whole
+ * run from the flight recorder and writes `<basename>.trace.json`
+ * (Chrome trace_event — open in Perfetto or feed to trace_report) plus
+ * `<basename>.metrics.json` (the metrics-registry snapshot). In a
+ * `-DCOTERIE_FLIGHT=OFF` build the capture is inert: only the metrics
+ * snapshot is written, and the run says so.
  *
  * With COTERIE_CHAOS=1 an extra chaos pass runs Coterie under a
  * scripted fault plan (loss burst, bandwidth collapse, outage) with
@@ -50,8 +52,10 @@ main(int argc, char **argv)
 
     const char *traceEnv = std::getenv("COTERIE_TRACE");
     const std::string traceBase = traceEnv ? traceEnv : "";
-    if (!traceBase.empty())
-        obs::TraceRecorder::global().start();
+    if (!traceBase.empty()) {
+        obs::installPoolTelemetry();
+        obs::flight::startCapture();
+    }
 
     // Arm the flight recorder's crash dump up front (it would also
     // arm lazily on the first recorded event).
@@ -148,16 +152,20 @@ main(int argc, char **argv)
     }
 
     if (!traceBase.empty()) {
-        obs::TraceRecorder::global().stop();
         const std::string tracePath = traceBase + ".trace.json";
         const std::string metricsPath = traceBase + ".metrics.json";
-        if (obs::TraceRecorder::global().exportToFile(tracePath))
-            std::printf("\nwrote %s (%zu events; open in Perfetto or "
+        if (!obs::flight::kCompiledIn) {
+            std::printf("\nflight recorder compiled out "
+                        "(COTERIE_FLIGHT=OFF): no trace written\n");
+        } else if (const long events =
+                       obs::flight::stopCapture(tracePath);
+                   events >= 0) {
+            std::printf("\nwrote %s (%ld events; open in Perfetto or "
                         "run trace_report)\n",
-                        tracePath.c_str(),
-                        obs::TraceRecorder::global().eventCount());
-        else
+                        tracePath.c_str(), events);
+        } else {
             std::printf("\ncould not write %s\n", tracePath.c_str());
+        }
         if (obs::MetricsRegistry::global().writeJson(metricsPath))
             std::printf("wrote %s\n", metricsPath.c_str());
         else

@@ -594,8 +594,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
         ++c.rejoins;
         c.rejoinAt = now;
         COTERIE_COUNT("client.rejoins");
-        obs::TraceRecorder::global().instant("client.rejoin", "fault",
-                                             now);
+        obs::flight::recordInstant("client.rejoin", "fault", now);
         c.lastGrid = GridPoint{-1, -1};
         for (const PrefetchTarget &t : prefetcher.resyncTargets(
                  g, pose.position, c.cache.get(), distThresholds)) {
@@ -744,7 +743,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             c.stallMs += waited;
             c.lastDegradeAt = now;
             COTERIE_COUNT("qoe.degraded_frames");
-            obs::TraceRecorder::global().counter(
+            obs::flight::recordCounter(
                 "qoe.degraded_frames",
                 static_cast<double>(degradedTotal));
             c.stalled = false;

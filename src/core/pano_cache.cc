@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/flight.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
@@ -11,19 +12,19 @@ namespace coterie::core {
 namespace {
 
 /**
- * Emit cumulative hit/miss counter tracks when a trace is recording so
+ * Emit cumulative hit/miss counter tracks while a capture is active so
  * trace_report can chart the hit ratio over a run. Values are read
  * under the cache lock by the caller.
  */
 void
 tracePanoCounters(std::uint64_t hits, std::uint64_t misses)
 {
-    obs::TraceRecorder &recorder = obs::TraceRecorder::global();
-    if (!recorder.enabled())
+    if (!obs::flight::capturing())
         return;
-    recorder.counter("server.pano_cache.hits", static_cast<double>(hits));
-    recorder.counter("server.pano_cache.misses",
-                     static_cast<double>(misses));
+    obs::flight::recordCounter("server.pano_cache.hits",
+                               static_cast<double>(hits));
+    obs::flight::recordCounter("server.pano_cache.misses",
+                               static_cast<double>(misses));
 }
 
 } // namespace

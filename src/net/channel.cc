@@ -4,8 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/flight.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "support/logging.hh"
 
 namespace coterie::net {
@@ -191,7 +191,7 @@ SharedChannel::beginPending(TransferId id)
     pending_.erase(it);
     progressAndReschedule(); // bring existing transfers up to now
     transfers_.emplace(id, std::move(tr));
-    obs::TraceRecorder::global().counter(
+    obs::flight::recordCounter(
         "net.active_transfers",
         static_cast<double>(transfers_.size()));
     progressAndReschedule(); // recompute with the new membership

@@ -6,7 +6,6 @@
 
 #include "obs/flight.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace coterie::net {
 
@@ -102,8 +101,8 @@ ResilientFetcher::onAttemptExpired(std::uint64_t key, sim::TimeMs at)
         ++stats_.failures;
         COTERIE_COUNT("net.fetch_giveups");
         // Give-ups are rare, diagnosis-critical moments: mark them in
-        // both the counter namespace dashboards scrape and the
-        // always-on flight recorder, so a post-mortem ring dump shows
+        // both the counter namespace dashboards scrape and the flight
+        // recorder, so a capture or a post-mortem ring dump shows
         // exactly when the fetcher abandoned a megaframe.
         COTERIE_COUNT("net.fetch.gave_up");
         obs::flight::recordInstant("net.fetch.gave_up", "net", at);
@@ -117,7 +116,7 @@ ResilientFetcher::onAttemptExpired(std::uint64_t key, sim::TimeMs at)
     ++pf.attempt;
     ++stats_.retries;
     COTERIE_COUNT("net.retries");
-    obs::TraceRecorder::global().counter(
+    obs::flight::recordCounter(
         "net.retries", static_cast<double>(stats_.retries));
     const double delay = backoffDelayMs(pf.attempt);
     // The wake-up revalidates key membership and the generation stamp,

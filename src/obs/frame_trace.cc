@@ -5,7 +5,6 @@
 
 #include "obs/clock.hh"
 #include "obs/flight.hh"
-#include "obs/trace.hh"
 #include "support/logging.hh"
 
 namespace coterie::obs {
@@ -240,38 +239,6 @@ FrameTracer::finish()
     {
         support::MutexLock lock(mutex_);
         summary = deadlines_.toJson();
-
-        TraceRecorder &recorder = TraceRecorder::global();
-        if (recorder.enabled()) {
-            for (const FrameRecord &rec : records_) {
-                const int tid = static_cast<int>(rec.client);
-                for (const HopRecord &h : rec.hops) {
-                    if (h.simBeginMs < 0.0)
-                        continue; // wall-only hop: no sim timeline slot
-                    Json args = Json::object();
-                    args.set("label", Json(label_));
-                    args.set("client",
-                             Json(static_cast<int>(rec.client)));
-                    args.set("frame", Json(rec.frame));
-                    recorder.frameSpan(hopEventName(h.hop), tid,
-                                       h.simBeginMs, h.simDurMs,
-                                       std::move(args));
-                }
-                if (rec.kind != Kind::Frame || !rec.completed)
-                    continue;
-                Json args = Json::object();
-                args.set("label", Json(label_));
-                args.set("client", Json(static_cast<int>(rec.client)));
-                args.set("frame", Json(rec.frame));
-                args.set("latency_ms", Json(rec.latencyMs));
-                args.set("budget_ms", Json(deadlines_.budgetMs()));
-                args.set("miss",
-                         Json(rec.latencyMs > deadlines_.budgetMs()));
-                args.set("critical_path", Json(rec.criticalPath));
-                recorder.frameInstant("frame.done", tid, rec.doneMs,
-                                      std::move(args));
-            }
-        }
     }
     SloRegistry::global().publish(label_, std::move(summary));
 }

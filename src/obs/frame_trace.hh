@@ -14,13 +14,13 @@
  * the critical path (the hop family with the largest total sim-time;
  * a frame dominated by `StallWait` descends into its linked fetch
  * record, yielding paths like `"stall_wait/transfer"`), scores the
- * frame against the deadline budget (`DeadlineTracker`), and emits
- * the flight-recorder events live.
+ * frame against the deadline budget (`DeadlineTracker`). Every hop and
+ * every frame completion is also recorded live into the flight
+ * recorder (obs/flight.hh) as a sim-timeline event (pid 2, one track
+ * per client), which is all `trace_report --frames` needs — from a
+ * capture or a crash dump alike.
  *
- * `finish()` (end of a session run) exports the records as sim-
- * timeline events into `TraceRecorder` (pid 2, one track per client —
- * `trace_report --frames` consumes these from a live trace or a
- * flight dump interchangeably) and publishes the SLO summary to
+ * `finish()` (end of a session run) publishes the SLO summary to
  * `SloRegistry::global()` under the session label.
  *
  * Determinism: the tracer is observe-only and all exported values are
@@ -179,11 +179,8 @@ class FrameTracer
     /** Mark the record abandoned (expired fetch, disconnect). */
     void abort(FrameTraceContext &ctx, double nowMs);
 
-    /**
-     * End of run: export all records as sim-timeline frame events
-     * into `TraceRecorder::global()` (when recording) and publish the
-     * SLO summary to `SloRegistry::global()` under the label.
-     */
+    /** End of run: publish the SLO summary to `SloRegistry::global()`
+     *  under the label. */
     void finish();
 
     /** The deadline scoreboard (valid for the tracer's lifetime). */
@@ -208,9 +205,9 @@ class FrameTracer
 
     mutable support::Mutex mutex_{"FrameTracer::mutex_"};
     // deque: records must not move — contexts hold indices and
-    // completion touches linked records. Grows one record per causal
-    // hop for the whole session (exported+cleared at finish), which is
-    // the tracer's job, not a leak.
+    // completion touches linked records. Grows one record per frame or
+    // fetch for the whole session run (the tracer lives for one run),
+    // which is the tracer's job, not a leak.
     std::deque<FrameRecord> records_ // lint:allow(unbounded-queue)
         COTERIE_GUARDED_BY(mutex_);
     DeadlineTracker deadlines_ COTERIE_GUARDED_BY(mutex_);

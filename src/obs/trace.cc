@@ -1,296 +1,10 @@
 #include "obs/trace.hh"
 
-#include <algorithm>
-#include <cstdio>
-#include <utility>
+#include <atomic>
 
 #include "support/parallel.hh"
 
 namespace coterie::obs {
-
-TraceRecorder &
-TraceRecorder::global()
-{
-    static TraceRecorder recorder;
-    return recorder;
-}
-
-void
-TraceRecorder::start()
-{
-    installPoolTelemetry();
-    {
-        support::MutexLock lock(mutex_);
-        events_.clear();
-        epochNs_ = monotonicNowNs();
-    }
-    enabled_.store(true, std::memory_order_relaxed);
-}
-
-void
-TraceRecorder::stop()
-{
-    enabled_.store(false, std::memory_order_relaxed);
-}
-
-void
-TraceRecorder::clear()
-{
-    support::MutexLock lock(mutex_);
-    events_.clear();
-}
-
-void
-TraceRecorder::push(Event event)
-{
-    support::MutexLock lock(mutex_);
-    events_.push_back(std::move(event));
-}
-
-void
-TraceRecorder::complete(const char *name, const char *category,
-                        std::uint64_t beginNs, std::uint64_t endNs,
-                        double simMs)
-{
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::Complete;
-    e.tid = threadSlot();
-    e.name = name;
-    e.category = category;
-    e.beginNs = beginNs;
-    e.durNs = endNs >= beginNs ? endNs - beginNs : 0;
-    e.value = 0.0;
-    e.simMs = simMs;
-    push(std::move(e));
-}
-
-void
-TraceRecorder::counter(const char *name, double value)
-{
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::Counter;
-    e.tid = threadSlot();
-    e.name = name;
-    e.category = "counter";
-    e.beginNs = monotonicNowNs();
-    e.durNs = 0;
-    e.value = value;
-    e.simMs = -1.0;
-    push(std::move(e));
-}
-
-void
-TraceRecorder::instant(const char *name, const char *category,
-                       double simMs)
-{
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::Instant;
-    e.tid = threadSlot();
-    e.name = name;
-    e.category = category;
-    e.beginNs = monotonicNowNs();
-    e.durNs = 0;
-    e.value = 0.0;
-    e.simMs = simMs;
-    push(std::move(e));
-}
-
-void
-TraceRecorder::frameSpan(const char *name, int clientTid,
-                         double simBeginMs, double simDurMs, Json args)
-{
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::FrameSpan;
-    e.tid = clientTid;
-    e.name = name;
-    e.category = "frame";
-    e.beginNs = 0;
-    e.durNs = 0;
-    e.value = simDurMs;
-    e.simMs = simBeginMs;
-    e.args = std::move(args);
-    push(std::move(e));
-}
-
-void
-TraceRecorder::frameInstant(const char *name, int clientTid,
-                            double simMs, Json args)
-{
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::FrameInstant;
-    e.tid = clientTid;
-    e.name = name;
-    e.category = "frame";
-    e.beginNs = 0;
-    e.durNs = 0;
-    e.value = 0.0;
-    e.simMs = simMs;
-    e.args = std::move(args);
-    push(std::move(e));
-}
-
-std::size_t
-TraceRecorder::eventCount() const
-{
-    support::MutexLock lock(mutex_);
-    return events_.size();
-}
-
-Json
-TraceRecorder::toJson() const
-{
-    std::vector<Event> events;
-    std::uint64_t epochNs = 0;
-    {
-        support::MutexLock lock(mutex_);
-        events = events_;
-        epochNs = epochNs_;
-    }
-
-    Json traceEvents = Json::array();
-
-    // Thread-name metadata so Perfetto labels tracks by obs slot.
-    // Frame events (pid 2) carry client ids as tids and get their own
-    // process label instead.
-    int maxTid = -1;
-    bool haveFrameEvents = false;
-    for (const Event &e : events) {
-        if (e.phase == Phase::FrameSpan ||
-            e.phase == Phase::FrameInstant) {
-            haveFrameEvents = true;
-            continue;
-        }
-        maxTid = std::max(maxTid, e.tid);
-    }
-    if (haveFrameEvents) {
-        Json args = Json::object();
-        args.set("name", Json("frames (sim)"));
-        Json m = Json::object();
-        m.set("ph", Json("M"));
-        m.set("name", Json("process_name"));
-        m.set("pid", Json(2));
-        m.set("args", std::move(args));
-        traceEvents.push(std::move(m));
-    }
-    for (int tid = 0; tid <= maxTid; ++tid) {
-        Json args = Json::object();
-        args.set("name", Json(tid == 0 ? std::string("main/slot0")
-                                       : "slot" + std::to_string(tid)));
-        Json m = Json::object();
-        m.set("ph", Json("M"));
-        m.set("name", Json("thread_name"));
-        m.set("pid", Json(1));
-        m.set("tid", Json(tid));
-        m.set("args", std::move(args));
-        traceEvents.push(std::move(m));
-    }
-
-    const auto relUs = [epochNs](std::uint64_t ns) {
-        return ns >= epochNs
-                   ? static_cast<double>(ns - epochNs) / 1000.0
-                   : 0.0;
-    };
-
-    for (const Event &e : events) {
-        Json j = Json::object();
-        switch (e.phase) {
-        case Phase::Complete: {
-            j.set("ph", Json("X"));
-            j.set("name", Json(e.name));
-            j.set("cat", Json(e.category));
-            j.set("pid", Json(1));
-            j.set("tid", Json(e.tid));
-            j.set("ts", Json(relUs(e.beginNs)));
-            j.set("dur", Json(static_cast<double>(e.durNs) / 1000.0));
-            if (e.simMs >= 0.0) {
-                Json args = Json::object();
-                args.set("sim_ms", Json(e.simMs));
-                j.set("args", std::move(args));
-            }
-            break;
-        }
-        case Phase::Counter: {
-            j.set("ph", Json("C"));
-            j.set("name", Json(e.name));
-            j.set("pid", Json(1));
-            j.set("tid", Json(e.tid));
-            j.set("ts", Json(relUs(e.beginNs)));
-            Json args = Json::object();
-            args.set("value", Json(e.value));
-            j.set("args", std::move(args));
-            break;
-        }
-        case Phase::Instant: {
-            j.set("ph", Json("i"));
-            j.set("name", Json(e.name));
-            j.set("cat", Json(e.category));
-            j.set("pid", Json(1));
-            j.set("tid", Json(e.tid));
-            j.set("ts", Json(relUs(e.beginNs)));
-            j.set("s", Json("t"));
-            if (e.simMs >= 0.0) {
-                Json args = Json::object();
-                args.set("sim_ms", Json(e.simMs));
-                j.set("args", std::move(args));
-            }
-            break;
-        }
-        case Phase::FrameSpan: {
-            j.set("ph", Json("X"));
-            j.set("name", Json(e.name));
-            j.set("cat", Json("frame"));
-            j.set("pid", Json(2));
-            j.set("tid", Json(e.tid));
-            // Sim milliseconds -> trace microseconds: the frame
-            // timeline has its own (simulated) clock domain.
-            j.set("ts", Json(e.simMs * 1000.0));
-            j.set("dur", Json(e.value * 1000.0));
-            j.set("args", e.args);
-            break;
-        }
-        case Phase::FrameInstant: {
-            j.set("ph", Json("i"));
-            j.set("name", Json(e.name));
-            j.set("cat", Json("frame"));
-            j.set("pid", Json(2));
-            j.set("tid", Json(e.tid));
-            j.set("ts", Json(e.simMs * 1000.0));
-            j.set("s", Json("t"));
-            j.set("args", e.args);
-            break;
-        }
-        }
-        traceEvents.push(std::move(j));
-    }
-
-    Json out = Json::object();
-    out.set("displayTimeUnit", Json("ms"));
-    out.set("traceEvents", std::move(traceEvents));
-    return out;
-}
-
-bool
-TraceRecorder::exportToFile(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const std::string text = exportJson();
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    std::fclose(f);
-    return ok;
-}
 
 namespace {
 
@@ -309,7 +23,7 @@ class PoolTracer final : public support::PoolObserver
             queueDepth_.fetch_add(1, std::memory_order_relaxed) + 1;
         COTERIE_COUNT("pool.jobs");
         COTERIE_COUNT_N("pool.chunks", chunkCount);
-        TraceRecorder::global().counter(
+        flight::recordCounter(
             "pool.queue_depth", static_cast<double>(depth));
     }
 
@@ -317,13 +31,13 @@ class PoolTracer final : public support::PoolObserver
     {
         const int depth =
             queueDepth_.fetch_sub(1, std::memory_order_relaxed) - 1;
-        TraceRecorder::global().counter(
+        flight::recordCounter(
             "pool.queue_depth", static_cast<double>(depth));
     }
 
     void onWorkerActivity(int activeWorkers, int workerCount) override
     {
-        TraceRecorder::global().counter(
+        flight::recordCounter(
             "pool.active_workers", static_cast<double>(activeWorkers));
         if (workerCount > 0) {
             COTERIE_GAUGE_SET("pool.worker_utilization",

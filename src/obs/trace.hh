@@ -1,22 +1,22 @@
 /**
  * @file
- * coterie-scope trace spans: Chrome `trace_event` export of the frame
- * pipeline, loadable in Perfetto / chrome://tracing.
+ * coterie-scope trace spans: RAII wall-clock scopes recorded into the
+ * flight recorder's per-thread rings (obs/flight.hh), the one event
+ * pipeline behind crash dumps and live trace captures alike.
  *
- * `COTERIE_SPAN("render.panorama", "render")` opens an RAII span that
- * records a complete ("ph":"X") event with wall-clock begin/duration
- * (read only through obs/clock), the recording thread's slot as `tid`,
- * and — when the call site attaches it — the simulation time as a
- * `sim_ms` arg, so wall-time spans can be correlated with sim-time
- * behaviour. `TraceRecorder::counter` emits "ph":"C" counter tracks;
- * the pool telemetry hooks (installed by `installPoolTelemetry`) use
- * them for thread-pool queue depth and worker utilisation.
+ * `COTERIE_SPAN("render.panorama", "render")` opens a span that, on
+ * scope exit, records one complete event with wall-clock begin and
+ * duration (read only through obs/clock), the recording thread's slot
+ * as `tid` and — when the call site attaches it — the simulation time
+ * as a `sim_ms` arg, so wall-time spans can be correlated with
+ * sim-time behaviour. A capture (`flight::startCapture()` /
+ * `flight::stopCapture(path)`) writes every span in its window as a
+ * Chrome trace_event "ph":"X" event, loadable in Perfetto and folded
+ * by tools/trace_report.
  *
- * Recording is opt-in: spans are dropped (two relaxed atomic loads)
- * until `TraceRecorder::global().start()`. With
- * `-DCOTERIE_TELEMETRY=OFF` the span macros compile away entirely;
- * the recorder API itself stays linkable so tools and tests build in
- * both configurations.
+ * With `-DCOTERIE_TELEMETRY=OFF` the span macros compile away
+ * entirely; with `-DCOTERIE_FLIGHT=OFF` spans skip even their clock
+ * reads.
  *
  * Span taxonomy (see DESIGN.md §8): span names reuse the metric naming
  * scheme minus the unit suffix (`render.panorama`, `codec.encode`);
@@ -26,157 +26,39 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "obs/clock.hh"
 #include "obs/flight.hh"
-#include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "support/thread_annotations.hh"
 
 namespace coterie::obs {
 
-/** Collects trace events and exports Chrome trace_event JSON. */
-class TraceRecorder
-{
-  public:
-    TraceRecorder() = default;
-    TraceRecorder(const TraceRecorder &) = delete;
-    TraceRecorder &operator=(const TraceRecorder &) = delete;
-
-    /** The process-wide recorder the span macros feed. */
-    static TraceRecorder &global();
-
-    /** Clear any previous events and begin recording. */
-    void start();
-    /** Stop recording (events are kept for export). */
-    void stop();
-    /** Drop all recorded events. */
-    void clear();
-
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Record a complete span. @p simMs attaches simulated time as an
-     * arg when non-negative (wall and sim time share no epoch; the
-     * arg is attribution, not an axis).
-     */
-    void complete(const char *name, const char *category,
-                  std::uint64_t beginNs, std::uint64_t endNs,
-                  double simMs = -1.0);
-
-    /** Record a counter-track sample ("ph":"C"). */
-    void counter(const char *name, double value);
-
-    /** Record an instant event ("ph":"i", thread scope). @p simMs
-     *  attaches simulated time as an arg when non-negative (used by
-     *  the fault-injection driver's episode boundary markers). */
-    void instant(const char *name, const char *category,
-                 double simMs = -1.0);
-
-    /**
-     * Record a sim-timeline frame span (category "frame", pid 2, one
-     * track per client): ts/dur are the *simulated* interval, so the
-     * frame causal records render as a timeline of their own next to
-     * the wall-clock spans. Fed by `FrameTracer::finish()`; consumed
-     * by `trace_report --frames`.
-     */
-    void frameSpan(const char *name, int clientTid, double simBeginMs,
-                   double simDurMs, Json args);
-
-    /** Record a sim-timeline frame instant ("frame.done"). */
-    void frameInstant(const char *name, int clientTid, double simMs,
-                      Json args);
-
-    std::size_t eventCount() const;
-
-    /**
-     * Export everything recorded so far as a Chrome trace_event
-     * document: `{"displayTimeUnit": "ms", "traceEvents": [...]}` with
-     * per-thread `thread_name` metadata. Timestamps are microseconds
-     * relative to the first `start()`.
-     */
-    Json toJson() const;
-    std::string exportJson() const { return toJson().dump(1); }
-    bool exportToFile(const std::string &path) const;
-
-  private:
-    enum class Phase : std::uint8_t {
-        Complete,
-        Counter,
-        Instant,
-        FrameSpan,    ///< sim-timeline span, pid 2 (frame tracer)
-        FrameInstant, ///< sim-timeline instant, pid 2
-    };
-
-    struct Event
-    {
-        Phase phase;
-        int tid;
-        std::string name;
-        std::string category;
-        std::uint64_t beginNs;
-        std::uint64_t durNs;
-        double value;  ///< counter sample; FrameSpan: sim dur ms
-        double simMs;  ///< < 0 -> absent; Frame*: sim begin ms
-        Json args;     ///< Frame* payload (label/client/frame/...)
-    };
-
-    void push(Event event);
-
-    std::atomic<bool> enabled_{false};
-    mutable support::Mutex mutex_{"TraceRecorder::mutex_"};
-    std::vector<Event> events_ COTERIE_GUARDED_BY(mutex_);
-    std::uint64_t epochNs_ COTERIE_GUARDED_BY(mutex_) = 0;
-};
-
 /**
- * Install the thread-pool telemetry bridge (queue-depth and
- * worker-utilisation counter tracks + `pool.*` metrics). Idempotent;
- * called automatically by `TraceRecorder::start()`.
+ * Install the thread-pool telemetry bridge: `pool.*` metrics plus
+ * queue-depth and worker-utilisation counter tracks (recorded while a
+ * flight capture is active). Idempotent.
  */
 void installPoolTelemetry();
 
 #if COTERIE_TELEMETRY_ENABLED
 
-/**
- * RAII span. Two independent sinks share the clock readings:
- *  - `TraceRecorder` gets a complete event iff recording was on at
- *    entry (spans straddling the recording window are dropped, as
- *    before);
- *  - the flight recorder (obs/flight.hh) gets every span,
- *    unconditionally, into the calling thread's ring.
- * With the flight recorder compiled out this collapses back to the
- * recorder-only behaviour, including skipping the clock reads when
- * recording is off.
- */
+/** RAII span: one flight-recorder span event per scope. */
 class ScopedSpan
 {
   public:
     ScopedSpan(const char *name, const char *category)
-        : name_(name), category_(category),
-          recorderArmed_(TraceRecorder::global().enabled())
+        : name_(name), category_(category)
     {
-        if (recorderArmed_ || flight::kCompiledIn)
+        if constexpr (flight::kCompiledIn)
             beginNs_ = monotonicNowNs();
     }
 
     ~ScopedSpan()
     {
-        if (!recorderArmed_ && !flight::kCompiledIn)
-            return;
-        const std::uint64_t endNs = monotonicNowNs();
-        flight::recordSpan(name_, category_, beginNs_, endNs, simMs_);
-        if (recorderArmed_) {
-            TraceRecorder::global().complete(name_, category_, beginNs_,
-                                             endNs, simMs_);
-        }
+        if constexpr (flight::kCompiledIn)
+            flight::recordSpan(name_, category_, beginNs_,
+                               monotonicNowNs(), simMs_);
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
@@ -188,7 +70,6 @@ class ScopedSpan
   private:
     const char *name_;
     const char *category_;
-    const bool recorderArmed_;
     std::uint64_t beginNs_ = 0;
     double simMs_ = -1.0;
 };

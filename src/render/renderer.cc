@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/flight.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "render/pipeline.hh"
@@ -97,23 +98,22 @@ batchedFrame(const world::VirtualWorld &world, Vec3 origin,
 }
 
 /**
- * Emit cumulative `bvh.*` counter tracks after a frame so traces carry
- * the traversal-cost trajectory (trace_report folds them into its
- * render section). Cheap no-op unless a trace is recording.
+ * Emit cumulative `bvh.*` counter tracks after a frame so captures
+ * carry the traversal-cost trajectory (trace_report folds them into
+ * its render section). Cheap no-op unless a capture is active.
  */
 void
 traceBvhCounters()
 {
-    obs::TraceRecorder &recorder = obs::TraceRecorder::global();
-    if (!recorder.enabled())
+    if (!obs::flight::capturing())
         return;
     obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
-    recorder.counter("bvh.nodes_visited",
-                     static_cast<double>(
-                         registry.counter("bvh.nodes_visited").value()));
-    recorder.counter("bvh.leaf_tests",
-                     static_cast<double>(
-                         registry.counter("bvh.leaf_tests").value()));
+    obs::flight::recordCounter(
+        "bvh.nodes_visited",
+        static_cast<double>(registry.counter("bvh.nodes_visited").value()));
+    obs::flight::recordCounter(
+        "bvh.leaf_tests",
+        static_cast<double>(registry.counter("bvh.leaf_tests").value()));
 }
 
 } // namespace

@@ -28,6 +28,7 @@
 #include "net/endpoints.hh"
 #include "net/fi_sync.hh"
 #include "net/resilience.hh"
+#include "obs/flight.hh"
 #include "sim/faults.hh"
 
 namespace coterie {
@@ -543,6 +544,34 @@ TEST(ChaosSession, SchedulesAreBitIdenticalOnRepeatRuns)
             obs::SloRegistry::global().snapshotJson().dump(2).c_str());
         std::fclose(dump);
     }
+}
+
+TEST(ChaosSession, FlightCaptureIsObserveOnly)
+{
+    // The same schedule with a flight capture on and off: the metrics
+    // snapshot and the published deadline SLOs must match bit for bit
+    // (the capture records every span, hop and counter of the run, and
+    // nothing may read any of it back).
+    const Session &session = chaosSession();
+    const FaultPlan plan = chaosSchedules().front().second;
+    const auto run = [&](bool capture) {
+        const std::string path = "chaos_test_capture.json";
+        if (capture)
+            obs::flight::startCapture();
+        const SystemResult result =
+            session.runCoterieChaos(plan, defaultResilience());
+        if (capture) {
+            const long events = obs::flight::stopCapture(path);
+            if (obs::flight::kCompiledIn) {
+                EXPECT_GT(events, 0);
+            }
+            std::remove(path.c_str());
+        }
+        return snapshot(result) + "== slo ==\n" +
+               obs::SloRegistry::global().snapshotJson().dump(2);
+    };
+    const std::string captured = run(true);
+    EXPECT_EQ(captured, run(false));
 }
 
 TEST(ChaosSession, EmptyPlanWithResilienceOffIsTheCleanRun)

@@ -434,6 +434,17 @@ TEST(FlightRecorder, CompiledOutEntryPointsAreInertNoOps)
     EXPECT_EQ(flight::eventCount(), 0u);
     EXPECT_FALSE(flight::dump("unused.json"));
     EXPECT_STREQ(flight::intern("anything"), "");
+
+    // A capture is inert: it never arms, records no counters, and
+    // writes no file.
+    const std::string path = "frame_trace_inert_capture.json";
+    std::remove(path.c_str());
+    flight::startCapture();
+    EXPECT_FALSE(flight::capturing());
+    flight::recordCounter("gone.counter", 1.0);
+    EXPECT_EQ(flight::eventCount(), 0u);
+    EXPECT_EQ(flight::stopCapture(path), -1);
+    EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr);
 }
 
 #endif // COTERIE_FLIGHT_ENABLED

@@ -4,24 +4,29 @@
  * type, the lock-striped MetricsRegistry (including a concurrent
  * first-touch hammer run through the shared pool so TSan sees the
  * real contention pattern), timer shard-folding, scoped trace spans
- * (nesting and cross-thread interleaving), and a golden round-trip of
- * the exported Chrome trace_event document.
+ * (nesting and cross-thread interleaving), flight-recorder captures
+ * (window edges, captures longer than one ring), and a golden
+ * round-trip of the captured Chrome trace_event document.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "obs/flight.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "support/parallel.hh"
 #include "support/stats.hh"
+#include "support/thread_annotations.hh"
 
 namespace coterie::obs {
 namespace {
@@ -254,17 +259,41 @@ TEST(Timer, NonFiniteObservationsAreDroppedAndHistStaysFinite)
     EXPECT_EQ(snap.hist.bin(0), 1u);
 }
 
-// --- Trace spans ------------------------------------------------------
+// --- Trace spans and flight-recorder captures --------------------------
 
-/** Fixture that isolates each test's events in the global recorder. */
+#if COTERIE_FLIGHT_ENABLED
+
+/** Fixture: each test runs inside a fresh capture and reads back what
+ *  stopCapture() wrote. */
 class TraceTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { TraceRecorder::global().start(); }
+    static constexpr const char *kPath = "obs_test_capture.json";
+
+    void SetUp() override { flight::startCapture(); }
     void TearDown() override
     {
-        TraceRecorder::global().stop();
-        TraceRecorder::global().clear();
+        if (flight::capturing())
+            flight::stopCapture(kPath);
+        std::remove(kPath);
+    }
+
+    /** Stop the capture and parse the document it wrote. */
+    static Json stopAndLoad()
+    {
+        EXPECT_GE(flight::stopCapture(kPath), 0);
+        std::string text;
+        if (std::FILE *f = std::fopen(kPath, "rb")) {
+            char buf[1 << 16];
+            std::size_t n;
+            while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+                text.append(buf, n);
+            std::fclose(f);
+        }
+        std::string error;
+        Json doc = Json::parse(text, &error);
+        EXPECT_TRUE(error.empty()) << error;
+        return doc;
     }
 };
 
@@ -281,17 +310,62 @@ eventsNamed(const Json &doc, const std::string &name)
 
 TEST_F(TraceTest, RecorderApiWorksInEitherTelemetryConfig)
 {
-    // The recorder itself stays linkable and functional with
-    // -DCOTERIE_TELEMETRY=OFF; only the macros compile away.
-    TraceRecorder::global().counter("test.track", 1.0);
-    TraceRecorder::global().instant("test.tick", "test");
-    TraceRecorder::global().stop();
-    std::string error;
-    const Json doc =
-        Json::parse(TraceRecorder::global().exportJson(), &error);
-    ASSERT_TRUE(error.empty()) << error;
+    // The recorder's entry points stay linkable and functional with
+    // -DCOTERIE_TELEMETRY=OFF; only the span macros compile away.
+    flight::recordCounter("test.track", 1.0);
+    flight::recordInstant("test.tick", "test");
+    const Json doc = stopAndLoad();
     EXPECT_EQ(eventsNamed(doc, "test.track").size(), 1u);
     EXPECT_EQ(eventsNamed(doc, "test.tick").size(), 1u);
+}
+
+TEST_F(TraceTest, CaptureLongerThanTheRingKeepsEveryEvent)
+{
+    // Events recorded before the capture (enough to fill the ring)
+    // must not leak into it.
+    flight::stopCapture(kPath);
+    for (std::size_t i = 0; i < flight::kRingCapacity + 10; ++i)
+        flight::recordSpan("test.before", "test", 1, 2);
+
+    // Every event carries its index as sim_ms; each recording thread
+    // logs the indices in the order it recorded them.
+    constexpr std::int64_t kMain = 3 * flight::kRingCapacity / 2;
+    constexpr std::int64_t kPool = 2 * flight::kRingCapacity;
+    support::Mutex logMutex{"obs_test.logMutex"};
+    std::map<int, std::vector<std::int64_t>> perThread;
+    const auto record = [&](std::int64_t i) {
+        const std::uint64_t now = monotonicNowNs();
+        flight::recordSpan("test.long", "test", now, now,
+                           static_cast<double>(i));
+        support::MutexLock lock(logMutex);
+        perThread[threadSlot()].push_back(i);
+    };
+    flight::startCapture();
+    for (std::int64_t i = 0; i < kMain; ++i)
+        record(i);
+    support::parallelFor(kMain, kMain + kPool, 256,
+                         [&](std::int64_t b, std::int64_t e) {
+                             for (std::int64_t i = b; i < e; ++i)
+                                 record(i);
+                         });
+    const Json doc = stopAndLoad();
+
+    EXPECT_TRUE(eventsNamed(doc, "test.before").empty());
+    std::map<int, std::vector<std::int64_t>> captured;
+    std::vector<int> seen(static_cast<std::size_t>(kMain + kPool), 0);
+    for (const Json &ev : eventsNamed(doc, "test.long")) {
+        const auto i = static_cast<std::int64_t>(
+            ev.at("args").at("sim_ms").asNumber());
+        ASSERT_GE(i, 0);
+        ASSERT_LT(i, kMain + kPool);
+        ++seen[static_cast<std::size_t>(i)];
+        captured[static_cast<int>(ev.at("tid").asNumber())].push_back(i);
+    }
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        ASSERT_EQ(seen[i], 1) << "event " << i << " not captured once";
+    // Per-thread order is recording order.
+    EXPECT_EQ(captured, perThread);
+    EXPECT_GT(perThread[threadSlot()].size(), flight::kRingCapacity);
 }
 
 #if COTERIE_TELEMETRY_ENABLED
@@ -307,9 +381,7 @@ TEST_F(TraceTest, NestedSpansAreContainedInParent)
             COTERIE_SPAN("test.inner", "test");
         }
     }
-    TraceRecorder::global().stop();
-
-    const Json doc = TraceRecorder::global().toJson();
+    const Json doc = stopAndLoad();
     const auto outer = eventsNamed(doc, "test.outer");
     const auto inner = eventsNamed(doc, "test.inner");
     ASSERT_EQ(outer.size(), 1u);
@@ -338,9 +410,7 @@ TEST_F(TraceTest, InterleavedSpansFromPoolWorkersKeepTheirTid)
             COTERIE_SPAN("test.chunk", "test");
         }
     });
-    TraceRecorder::global().stop();
-
-    const Json doc = TraceRecorder::global().toJson();
+    const Json doc = stopAndLoad();
     const auto chunks = eventsNamed(doc, "test.chunk");
     ASSERT_EQ(chunks.size(), 64u);
 
@@ -351,29 +421,29 @@ TEST_F(TraceTest, InterleavedSpansFromPoolWorkersKeepTheirTid)
     }
     // Every recording tid got thread_name metadata.
     std::set<int> namedTids;
-    for (const Json &ev : doc.at("traceEvents").items())
-        if (ev.at("ph").asString() == "M")
-            namedTids.insert(static_cast<int>(ev.at("tid").asNumber()));
+    for (const Json &ev : eventsNamed(doc, "thread_name"))
+        namedTids.insert(static_cast<int>(ev.at("tid").asNumber()));
     for (int tid : tids)
         EXPECT_TRUE(namedTids.count(tid)) << "no metadata for tid " << tid;
 }
 
 TEST_F(TraceTest, SpansOutsideRecordingWindowAreDropped)
 {
-    TraceRecorder::global().stop();
+    flight::stopCapture(kPath);
     {
         COTERIE_SPAN("test.dropped", "test");
     }
-    EXPECT_EQ(TraceRecorder::global().eventCount(), 0u);
-
-    TraceRecorder::global().start();
+    flight::startCapture();
     {
         COTERIE_SPAN("test.kept", "test");
     }
-    TraceRecorder::global().stop();
-    const Json doc = TraceRecorder::global().toJson();
+    const Json doc = stopAndLoad();
+    {
+        COTERIE_SPAN("test.after", "test");
+    }
     EXPECT_TRUE(eventsNamed(doc, "test.dropped").empty());
     EXPECT_EQ(eventsNamed(doc, "test.kept").size(), 1u);
+    EXPECT_TRUE(eventsNamed(doc, "test.after").empty());
 }
 
 TEST_F(TraceTest, GoldenTraceJsonRoundTrip)
@@ -382,16 +452,12 @@ TEST_F(TraceTest, GoldenTraceJsonRoundTrip)
         COTERIE_NAMED_SPAN(span, "test.frame", "render");
         span.simTimeMs(33.4);
     }
-    TraceRecorder::global().counter("test.queue_depth", 3.0);
-    TraceRecorder::global().instant("test.marker", "test");
-    TraceRecorder::global().stop();
+    flight::recordCounter("test.queue_depth", 3.0);
+    flight::recordInstant("test.marker", "test");
 
-    // The export must itself re-parse: that is the contract with
+    // The capture must itself parse: that is the contract with
     // chrome://tracing / Perfetto and with tools/trace_report.
-    std::string error;
-    const Json doc =
-        Json::parse(TraceRecorder::global().exportJson(), &error);
-    ASSERT_TRUE(error.empty()) << error;
+    const Json doc = stopAndLoad();
     EXPECT_EQ(doc.at("displayTimeUnit").asString(), "ms");
     ASSERT_TRUE(doc.at("traceEvents").isArray());
 
@@ -413,14 +479,18 @@ TEST_F(TraceTest, GoldenTraceJsonRoundTrip)
     EXPECT_EQ(instants[0].at("ph").asString(), "i");
     EXPECT_EQ(instants[0].at("s").asString(), "t");
 
-    // Every event carries the required trace_event fields.
+    // Every event carries the required trace_event fields (process
+    // metadata is per pid, so it alone has no tid).
     for (const Json &ev : doc.at("traceEvents").items()) {
         EXPECT_TRUE(ev.contains("name"));
         EXPECT_TRUE(ev.contains("ph"));
         EXPECT_TRUE(ev.contains("pid"));
-        EXPECT_TRUE(ev.contains("tid"));
-        if (ev.at("ph").asString() != "M")
+        if (ev.at("name").asString() != "process_name") {
+            EXPECT_TRUE(ev.contains("tid"));
+        }
+        if (ev.at("ph").asString() != "M") {
             EXPECT_TRUE(ev.contains("ts"));
+        }
     }
 }
 
@@ -429,12 +499,17 @@ TEST_F(TraceTest, StartClearsPreviousEvents)
     {
         COTERIE_SPAN("test.old", "test");
     }
-    EXPECT_EQ(TraceRecorder::global().eventCount(), 1u);
-    TraceRecorder::global().start();
-    EXPECT_EQ(TraceRecorder::global().eventCount(), 0u);
+    flight::startCapture();
+    {
+        COTERIE_SPAN("test.new", "test");
+    }
+    const Json doc = stopAndLoad();
+    EXPECT_TRUE(eventsNamed(doc, "test.old").empty());
+    EXPECT_EQ(eventsNamed(doc, "test.new").size(), 1u);
 }
 
 #endif // COTERIE_TELEMETRY_ENABLED
+#endif // COTERIE_FLIGHT_ENABLED
 
 // --- Histogram quantiles (timer shards) -------------------------------
 

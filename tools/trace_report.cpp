@@ -3,23 +3,29 @@
 //
 // Usage: trace_report [--frames] <trace.json>
 //
+// Input is anything the flight recorder writes (obs/flight.hh): a
+// capture (`COTERIE_TRACE=<base> ./quickstart` -> <base>.trace.json)
+// or a crash / episode-boundary dump. Both come from the one writer,
+// so there is one input schema.
+//
 // Default mode reads the "X" (complete) events, groups them by span
 // name (merging the per-thread streams with SampleSet::merge), and
 // prints one row per stage sorted by total wall time. The top three
 // stages by total time are flagged HOT — those are where optimisation
 // effort pays.
 //
-// When the trace carries chaos-harness instants ("fault.<kind>.begin"
-// / ".end", emitted by sim::FaultDriver with sim-time args) an extra
-// fault-timeline section pairs them into episodes and folds the
+// When the trace carries chaos-harness instants ("[<label>/]fault.
+// <kind>.begin" / ".end", emitted by sim::FaultDriver with sim-time
+// args and prefixed with the session label) an extra fault-timeline
+// section pairs them into episodes per (label, kind) and folds the
 // "net.retries" and "qoe.degraded_frames" counter tracks into
 // per-episode deltas — how much resilience work each scripted fault
 // caused. Exits nonzero on unreadable or malformed input.
 //
 // --frames switches to the causal frame-lifecycle report over the
-// "frame" category events (emitted by obs::FrameTracer into a live
-// trace, or by the flight recorder into a crash/boundary dump — the
-// schema is identical): per-session deadline SLO summaries, a table
+// "frame" category events (obs::FrameTracer's hops and completions,
+// recorded live into the flight rings): per-session deadline SLO
+// summaries, a table
 // of every deadline-missed frame with its critical path and full hop
 // breakdown, and per-hop / per-client p99s.
 
@@ -71,9 +77,10 @@ struct Stage
     double spanBeginUs = 1e300;
 };
 
-/** One fault.<kind>.begin / .end instant from a chaos run. */
+/** One [<label>/]fault.<kind>.begin / .end instant from a chaos run. */
 struct FaultMark
 {
+    std::string label; // session label prefix, "" when absent
     std::string kind;
     bool begin = false;
     double tsUs = 0.0;
@@ -83,12 +90,42 @@ struct FaultMark
 /** A paired episode on the fault timeline. */
 struct FaultEpisodeRow
 {
-    std::string kind;
+    std::string fault; // "<label>/<kind>", or "<kind>" unlabelled
     double beginSimMs = -1.0;
     double endSimMs = -1.0; // -1 = trace ended mid-episode
     double beginTsUs = 0.0;
     double endTsUs = 1e300;
 };
+
+/**
+ * Parse a fault-boundary instant name, "[<label>/]fault.<kind>.begin"
+ * or ".end", into @p mark. Returns false for any other name.
+ */
+bool
+parseFaultMark(const std::string &name, FaultMark &mark)
+{
+    std::size_t at = 0;
+    if (name.rfind("fault.", 0) != 0) {
+        const std::size_t slash = name.rfind("/fault.");
+        if (slash == std::string::npos)
+            return false;
+        mark.label = name.substr(0, slash);
+        at = slash + 1;
+    }
+    const std::string tail = name.substr(at + 6);
+    if (tail.size() > 6 &&
+        tail.compare(tail.size() - 6, 6, ".begin") == 0) {
+        mark.kind = tail.substr(0, tail.size() - 6);
+        mark.begin = true;
+    } else if (tail.size() > 4 &&
+               tail.compare(tail.size() - 4, 4, ".end") == 0) {
+        mark.kind = tail.substr(0, tail.size() - 4);
+        mark.begin = false;
+    } else {
+        return false;
+    }
+    return true;
+}
 
 /** Last cumulative counter value at or before @p tsUs (0 before the
  *  first sample — the tracks are cumulative and start at zero). */
@@ -175,8 +212,9 @@ runFramesReport(const Json &events, const char *path)
 
     if (records.empty()) {
         std::printf("trace_report: no frame events in %s\n", path);
-        std::printf("(record a live trace with frame tracing, or use "
-                    "a flight-recorder dump)\n");
+        std::printf("(capture a run that plays frames, e.g. "
+                    "COTERIE_TRACE=<base> ./quickstart, or use a "
+                    "flight-recorder dump)\n");
         return 0;
     }
 
@@ -355,21 +393,9 @@ main(int argc, char **argv)
         const double tsUs = e.at("ts").asNumber();
         if (ph == "i" || ph == "C" || ph == "X")
             lastTsUs = std::max(lastTsUs, tsUs);
-        if (ph == "i" && name.rfind("fault.", 0) == 0) {
-            FaultMark mark;
+        if (FaultMark mark; ph == "i" && parseFaultMark(name, mark)) {
             mark.tsUs = tsUs;
             mark.simMs = e.at("args").at("sim_ms").asNumber(-1.0);
-            const std::string tail = name.substr(6);
-            if (tail.size() > 6 &&
-                tail.compare(tail.size() - 6, 6, ".begin") == 0) {
-                mark.kind = tail.substr(0, tail.size() - 6);
-                mark.begin = true;
-            } else if (tail.size() > 4 &&
-                       tail.compare(tail.size() - 4, 4, ".end") == 0) {
-                mark.kind = tail.substr(0, tail.size() - 4);
-            } else {
-                continue;
-            }
             faultMarks.push_back(std::move(mark));
             continue;
         }
@@ -500,19 +526,25 @@ main(int argc, char **argv)
                       return a.tsUs < b.tsUs;
                   });
 
-        // Pair begin/end marks per kind, FIFO in timestamp order.
+        // Pair begin/end marks per (label, kind), FIFO in timestamp
+        // order, so two sessions' episodes never cross-pair.
         std::vector<FaultEpisodeRow> episodes;
-        std::map<std::string, std::vector<std::size_t>> open;
+        std::map<std::pair<std::string, std::string>,
+                 std::vector<std::size_t>>
+            open;
         for (const FaultMark &mark : faultMarks) {
+            auto &queue = open[{mark.label, mark.kind}];
             if (mark.begin) {
                 FaultEpisodeRow row;
-                row.kind = mark.kind;
+                row.fault = mark.label.empty()
+                                ? mark.kind
+                                : mark.label + "/" + mark.kind;
                 row.beginSimMs = mark.simMs;
                 row.beginTsUs = mark.tsUs;
                 row.endTsUs = lastTsUs; // until matched
-                open[mark.kind].push_back(episodes.size());
+                queue.push_back(episodes.size());
                 episodes.push_back(std::move(row));
-            } else if (auto &queue = open[mark.kind]; !queue.empty()) {
+            } else if (!queue.empty()) {
                 FaultEpisodeRow &row = episodes[queue.front()];
                 queue.erase(queue.begin());
                 row.endSimMs = mark.simMs;
@@ -524,7 +556,7 @@ main(int argc, char **argv)
         const auto &degraded = counters["qoe.degraded_frames"];
         std::printf("\nFault timeline (%zu episodes)\n",
                     episodes.size());
-        std::printf("%-20s %12s %12s %10s %10s  %s\n", "fault",
+        std::printf("%-32s %12s %12s %10s %10s  %s\n", "fault",
                     "begin_ms", "end_ms", "retries", "degraded", "");
         for (const FaultEpisodeRow &row : episodes) {
             const double retryDelta =
@@ -539,8 +571,8 @@ main(int argc, char **argv)
                               row.endSimMs);
             else
                 std::snprintf(endBuf, sizeof endBuf, "%12s", "(open)");
-            std::printf("%-20s %12.1f %s %10.0f %10.0f  %s\n",
-                        row.kind.c_str(), row.beginSimMs, endBuf,
+            std::printf("%-32s %12.1f %s %10.0f %10.0f  %s\n",
+                        row.fault.c_str(), row.beginSimMs, endBuf,
                         retryDelta, degradedDelta,
                         row.endSimMs < 0.0 ? "trace ended mid-episode"
                                            : "");
