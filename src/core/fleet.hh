@@ -45,7 +45,7 @@
 
 #include "core/client.hh"
 #include "core/session.hh"
-#include "sim/lane_queue.hh"
+#include "sim/event_queue.hh"
 
 namespace coterie::core {
 
@@ -209,12 +209,13 @@ struct FleetResult
  *   FleetResult fleet = mgr.run();
  *
  * Not thread-safe: submit/run from one thread. Internally run() drives
- * the parallel discrete-event engine (`sim::ParallelEventQueue`,
- * DESIGN.md §12): each session's events live in their own lane and
- * lanes advance concurrently on the shared pool between control-plane
- * barriers (admission wakes, governor ticks, finalize horizons), so a
- * fleet simulates on every core while staying bit-identical at any
- * `COTERIE_THREADS`.
+ * the event engine's lanes (`sim::EventQueue`, DESIGN.md §12): each
+ * session's events live in their own lane and lanes advance
+ * concurrently on the shared pool between control-plane barriers
+ * (admission wakes, governor ticks, finalize horizons), so a fleet
+ * simulates on every core while staying bit-identical at any
+ * `COTERIE_THREADS`. A solo run uses the same engine with every event
+ * on its control plane.
  */
 class SessionManager : public FleetHooks
 {
@@ -276,7 +277,7 @@ class SessionManager : public FleetHooks
     FleetCapacity capacity_;
     GovernorParams governor_;
     std::shared_ptr<PanoramaRenderCache> panoCache_;
-    sim::ParallelEventQueue queue_;
+    sim::EventQueue queue_;
 
     /** All adopted sessions, id order (id = index + 1; 0 is the
      *  solo/unattributed pano-cache owner). */

@@ -560,7 +560,7 @@ TEST(LintRules, CrossLaneScopeAndSuppression)
 {
     // The engine itself (src/sim/) and code outside src/ are out of
     // scope; lint:allow(cross-lane) silences a deliberate crossing.
-    EXPECT_FALSE(fired(run("src/sim/lane_queue.cc",
+    EXPECT_FALSE(fired(run("src/sim/event_queue.cc",
                            "void f(Q &q) { q.queue().now(); }"),
                        "cross-lane"));
     EXPECT_FALSE(fired(run("tests/fleet_test.cc",

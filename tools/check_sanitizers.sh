@@ -24,7 +24,7 @@ SANITIZERS=(thread address undefined)
 # lock-order validator's death tests actually fire here.
 TEST_BINS=(parallel_test renderer_test ssim_test codec_test obs_test
            frame_trace_test bvh_test terrain_test pano_cache_test
-           lock_order_test fleet_test)
+           lock_order_test event_queue_test fleet_test)
 PREFIX=""
 
 while [ $# -gt 0 ]; do

@@ -666,7 +666,7 @@ checkSimdAmbientMath(const SourceFile &f, std::vector<Finding> &out)
  * legal routes are `postControl` (barrier-deferred control action) or
  * taking the queue by reference at construction so the object joins
  * that lane.
- * Observe-only accessors (pending, executedEvents, laneNow) are fine.
+ * Observe-only accessors (pending, executedEvents) are fine.
  */
 void
 checkCrossLane(const SourceFile &f, std::vector<Finding> &out)
