@@ -59,8 +59,7 @@ struct ClientState
     TimeMs lastDisplay = 0.0;
     bool stalled = false;
     TimeMs stallStart = 0.0;
-    std::uint64_t deliveries = 0;      // total frames delivered
-    std::uint64_t stallBaseline = 0;   // deliveries when stall began
+    std::uint64_t stallBaseline = 0;   // framesFetched when stall began
 
     // Causal tracing: live fetch contexts by grid key, and the context
     // of the most recent completed delivery (what a stalled frame
@@ -122,7 +121,7 @@ struct SplitSystemRun::Impl
     void pump(ClientState &c);
     void onDelivered(ClientState &c, const FrameCache::Key &key,
                      TimeMs issued, std::uint64_t deliveredKey, TimeMs at);
-    void onFailed(ClientState &c, std::uint64_t failedKey, TimeMs at);
+    void onFailed(ClientState &c, std::uint64_t failedKey);
     void requestFrame(ClientState &c, const FrameCache::Key &key,
                       bool urgent = false);
     void display(int pid, double frameTime, double latency, double render,
@@ -344,7 +343,6 @@ SplitSystemRun::Impl::onDelivered(ClientState &c,
     c.fetchedKb.add(static_cast<double>(bytes) / 1024.0);
     c.bytesFetched += bytes;
     ++c.framesFetched;
-    ++c.deliveries;
     if (auto ft = c.fetchTraces.find(delivered_key);
         ft != c.fetchTraces.end()) {
         tracer.complete(ft->second.ctx, at);
@@ -372,8 +370,7 @@ SplitSystemRun::Impl::onDelivered(ClientState &c,
 }
 
 void
-SplitSystemRun::Impl::onFailed(ClientState &c, std::uint64_t failed_key,
-                               TimeMs at)
+SplitSystemRun::Impl::onFailed(ClientState &c, std::uint64_t failed_key)
 {
     if (stopped)
         return;
@@ -384,7 +381,7 @@ SplitSystemRun::Impl::onFailed(ClientState &c, std::uint64_t failed_key,
     c.wireBusy = false;
     if (auto ft = c.fetchTraces.find(failed_key);
         ft != c.fetchTraces.end()) {
-        tracer.abort(ft->second.ctx, at);
+        tracer.abort(ft->second.ctx);
         c.fetchTraces.erase(ft);
     }
     COTERIE_COUNT("client.fetch_giveups");
@@ -417,8 +414,8 @@ SplitSystemRun::Impl::pump(ClientState &c)
     if (c.fetcher) {
         c.fetcher->fetch(key.gridKey, fctx, std::move(on_delivered),
                          guardCb([this, &c](std::uint64_t failed_key,
-                                            TimeMs at) {
-                             onFailed(c, failed_key, at);
+                                            TimeMs) {
+                             onFailed(c, failed_key);
                          }));
     } else {
         net::RequestOptions ropts;
@@ -456,7 +453,7 @@ SplitSystemRun::Impl::requestFrame(ClientState &c,
         c.requested.erase(dropped);
         if (auto ft = c.fetchTraces.find(dropped);
             ft != c.fetchTraces.end()) {
-            tracer.abort(ft->second.ctx, now);
+            tracer.abort(ft->second.ctx);
             c.fetchTraces.erase(ft);
         }
         c.pipe.pop_back();
@@ -557,10 +554,10 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             COTERIE_COUNT("client.disconnects");
             if (c.fetcher)
                 c.fetcher->cancelAll();
-            // Cancelled fetches never call back: close out their
-            // causal records as aborted at the drop instant.
+            // Cancelled fetches never call back: retire their causal
+            // records unscored.
             for (auto &[fk, ft] : c.fetchTraces)
-                tracer.abort(ft.ctx, now);
+                tracer.abort(ft.ctx);
             c.fetchTraces.clear();
             c.pipe.clear();
             c.requested.clear();
@@ -658,7 +655,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
     // freezing. The slight BE staleness is why its measured SSIM
     // trails Coterie's (Table 7).
     const bool was_stalled = c.stalled;
-    const bool unblocked = c.stalled && c.deliveries > c.stallBaseline;
+    const bool unblocked = c.stalled && c.framesFetched > c.stallBaseline;
     if (unblocked || frameAvailable(c, key)) {
         // A frame that stalled waiting for the network already ran
         // its parallel tasks during the wait; only the merge
@@ -710,7 +707,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
         if (!c.stalled) {
             c.stalled = true;
             c.stallStart = now;
-            c.stallBaseline = c.deliveries;
+            c.stallBaseline = c.framesFetched;
             ++c.stallCount;
             COTERIE_COUNT("client.stalls");
         }
@@ -794,7 +791,7 @@ SplitSystemRun::Impl::quarantineAt(TimeMs now)
         if (c.fetcher)
             c.fetcher->cancelAll();
         for (auto &[fk, ft] : c.fetchTraces)
-            tracer.abort(ft.ctx, now);
+            tracer.abort(ft.ctx);
         c.fetchTraces.clear();
         c.pipe.clear();
         c.requested.clear();
@@ -1020,12 +1017,6 @@ SplitSystemRun::sampleSlo()
     impl_->slo.windowFrames = 0;
     impl_->slo.windowMisses = 0;
     return out;
-}
-
-std::uint64_t
-SplitSystemRun::framesDisplayed() const
-{
-    return impl_->slo.frames;
 }
 
 int

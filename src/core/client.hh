@@ -219,7 +219,6 @@ class SplitSystemRun
      *  accounting (resets the window). */
     LiveSlo sampleSlo();
 
-    std::uint64_t framesDisplayed() const;
     int players() const;
     /** The frame-trace / SLO label (`<tag>/<N>p/<system>[+chaos]`). */
     const std::string &label() const;

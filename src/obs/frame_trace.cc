@@ -1,6 +1,5 @@
 #include "obs/frame_trace.hh"
 
-#include <array>
 #include <atomic>
 
 #include "obs/clock.hh"
@@ -89,13 +88,11 @@ FrameTracer::mint(Kind kind, std::uint16_t client, std::uint64_t frame,
     ctx.frame = frame;
 
     support::MutexLock lock(mutex_);
-    ctx.recordId = static_cast<std::uint32_t>(records_.size());
-    FrameRecord rec;
+    ctx.recordId = nextId_++;
+    LiveRecord rec;
     rec.kind = kind;
-    rec.client = client;
-    rec.frame = frame;
     rec.mintedMs = nowMs;
-    records_.push_back(std::move(rec));
+    live_.emplace(ctx.recordId, rec);
     return ctx;
 }
 
@@ -107,11 +104,11 @@ FrameTracer::hop(FrameTraceContext &ctx, Hop h, double beginMs,
     const double durMs = endMs >= beginMs ? endMs - beginMs : 0.0;
     const std::uint64_t wallNs = monotonicNowNs();
     {
+        // A retired record takes no more hops (e.g. a late transfer
+        // of an aborted fetch); the flight event is still recorded.
         support::MutexLock lock(mutex_);
-        COTERIE_ASSERT(ctx.recordId < records_.size(),
-                       "bad frame-trace record id ", ctx.recordId);
-        records_[ctx.recordId].hops.push_back(
-            HopRecord{h, beginMs, durMs, wallNs, 0});
+        if (auto it = live_.find(ctx.recordId); it != live_.end())
+            it->second.simTotals[static_cast<std::size_t>(h)] += durMs;
     }
     ++ctx.hops;
     flight::recordFrameHop(hopEventName(h), flightLabel_, ctx.session,
@@ -126,13 +123,6 @@ FrameTracer::hopWall(FrameTraceContext &ctx, Hop h,
     COTERIE_ASSERT(ctx.tracer == this, "context from another tracer");
     const std::uint64_t durNs =
         wallEndNs >= wallBeginNs ? wallEndNs - wallBeginNs : 0;
-    {
-        support::MutexLock lock(mutex_);
-        COTERIE_ASSERT(ctx.recordId < records_.size(),
-                       "bad frame-trace record id ", ctx.recordId);
-        records_[ctx.recordId].hops.push_back(
-            HopRecord{h, -1.0, 0.0, wallBeginNs, durNs});
-    }
     ++ctx.hops;
     flight::recordFrameHop(hopEventName(h), flightLabel_, ctx.session,
                            ctx.client, ctx.frame, -1.0, 0.0,
@@ -146,90 +136,84 @@ FrameTracer::link(const FrameTraceContext &frameCtx,
     if (frameCtx.tracer != this || fetchCtx.tracer != this)
         return;
     support::MutexLock lock(mutex_);
-    COTERIE_ASSERT(frameCtx.recordId < records_.size() &&
-                       fetchCtx.recordId < records_.size(),
-                   "bad frame-trace link");
-    records_[frameCtx.recordId].link = fetchCtx.recordId + 1;
+    const auto it = live_.find(frameCtx.recordId);
+    COTERIE_ASSERT(it != live_.end(), "bad frame-trace link");
+    it->second.linkedDominant = fetchCtx.dominant;
 }
 
-std::string
-FrameTracer::criticalPathLocked(const FrameRecord &rec) const
-{
-    const auto dominant = [](const FrameRecord &r) -> int {
-        std::array<double, kHopCount> totals{};
-        for (const HopRecord &h : r.hops)
-            totals[static_cast<std::size_t>(h.hop)] += h.simDurMs;
-        int best = -1;
-        double bestTotal = 0.0;
-        for (std::size_t i = 0; i < kHopCount; ++i) {
-            // Strict '>' keeps the earliest pipeline stage on ties,
-            // which is stable across runs (totals are sim-derived).
-            if (totals[i] > bestTotal) {
-                bestTotal = totals[i];
-                best = static_cast<int>(i);
-            }
-        }
-        return best;
-    };
+namespace {
 
-    const int top = dominant(rec);
-    if (top < 0)
-        return "none";
-    const Hop topHop = static_cast<Hop>(top);
-    if (topHop == Hop::StallWait && rec.link != 0) {
-        // The frame spent its budget waiting on a fetch: descend into
-        // the linked fetch record to name the real bottleneck.
-        const FrameRecord &fetch = records_[rec.link - 1];
-        const int sub = dominant(fetch);
-        if (sub >= 0) {
-            return std::string("stall_wait/") +
-                   hopName(static_cast<Hop>(sub));
+/** The hop family with the largest sim total; -1 when all are zero. */
+int
+dominantHop(const std::array<double, kHopCount> &totals)
+{
+    int best = -1;
+    double bestTotal = 0.0;
+    for (std::size_t i = 0; i < kHopCount; ++i) {
+        // Strict '>' keeps the earliest pipeline stage on ties,
+        // which is stable across runs (totals are sim-derived).
+        if (totals[i] > bestTotal) {
+            bestTotal = totals[i];
+            best = static_cast<int>(i);
         }
     }
-    return hopName(topHop);
+    return best;
 }
 
-void
+} // namespace
+
+FrameTracer::Completion
 FrameTracer::complete(FrameTraceContext &ctx, double doneMs)
 {
     if (ctx.tracer != this)
-        return;
-    std::string criticalPath;
-    double latencyMs = 0.0;
+        return {};
+    Completion out;
     Kind kind;
     {
         support::MutexLock lock(mutex_);
-        COTERIE_ASSERT(ctx.recordId < records_.size(),
-                       "bad frame-trace record id ", ctx.recordId);
-        FrameRecord &rec = records_[ctx.recordId];
-        rec.doneMs = doneMs;
-        rec.latencyMs = latencyMs =
-            doneMs >= rec.mintedMs ? doneMs - rec.mintedMs : 0.0;
-        rec.completed = true;
-        rec.criticalPath = criticalPath = criticalPathLocked(rec);
+        const auto it = live_.find(ctx.recordId);
+        COTERIE_ASSERT(it != live_.end(),
+                       "completing retired frame-trace record ",
+                       ctx.recordId);
+        const LiveRecord &rec = it->second;
         kind = rec.kind;
+        out.latencyMs =
+            doneMs >= rec.mintedMs ? doneMs - rec.mintedMs : 0.0;
+        const int top = dominantHop(rec.simTotals);
+        ctx.dominant = static_cast<std::int8_t>(top);
+        if (top < 0) {
+            out.criticalPath = "none";
+        } else if (static_cast<Hop>(top) == Hop::StallWait &&
+                   rec.linkedDominant >= 0) {
+            // The frame spent its budget waiting on a fetch: name the
+            // fetch's own bottleneck.
+            out.criticalPath =
+                std::string("stall_wait/") +
+                hopName(static_cast<Hop>(rec.linkedDominant));
+        } else {
+            out.criticalPath = hopName(static_cast<Hop>(top));
+        }
         if (kind == Kind::Frame)
-            deadlines_.record(ctx.client, latencyMs, criticalPath);
+            deadlines_.record(ctx.client, out.latencyMs,
+                              out.criticalPath);
+        live_.erase(it);
     }
     if (kind == Kind::Frame) {
         flight::recordFrameDone(flightLabel_, ctx.session, ctx.client,
-                                ctx.frame, doneMs, latencyMs,
+                                ctx.frame, doneMs, out.latencyMs,
                                 deadlines_.budgetMs(),
-                                flight::intern(criticalPath));
+                                flight::intern(out.criticalPath));
     }
+    return out;
 }
 
 void
-FrameTracer::abort(FrameTraceContext &ctx, double nowMs)
+FrameTracer::abort(FrameTraceContext &ctx)
 {
     if (ctx.tracer != this)
         return;
     support::MutexLock lock(mutex_);
-    COTERIE_ASSERT(ctx.recordId < records_.size(),
-                   "bad frame-trace record id ", ctx.recordId);
-    FrameRecord &rec = records_[ctx.recordId];
-    rec.aborted = true;
-    rec.doneMs = nowMs;
+    live_.erase(ctx.recordId);
 }
 
 void
@@ -243,33 +227,11 @@ FrameTracer::finish()
     SloRegistry::global().publish(label_, std::move(summary));
 }
 
-const FrameTracer::FrameRecord *
-FrameTracer::find(Kind kind, std::uint16_t client,
-                  std::uint64_t frame) const
-{
-    support::MutexLock lock(mutex_);
-    return findLocked(kind, client, frame);
-}
-
-const FrameTracer::FrameRecord *
-FrameTracer::findLocked(Kind kind, std::uint16_t client,
-                        std::uint64_t frame) const
-{
-    // Latest match wins (a frame id can be re-fetched after expiry).
-    for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-        if (it->kind == kind && it->client == client &&
-            it->frame == frame) {
-            return &*it;
-        }
-    }
-    return nullptr;
-}
-
 std::size_t
-FrameTracer::recordCount() const
+FrameTracer::liveRecordCount() const
 {
     support::MutexLock lock(mutex_);
-    return records_.size();
+    return live_.size();
 }
 
 } // namespace coterie::obs

@@ -1,40 +1,45 @@
 /**
  * @file
  * Frame-lifecycle causal tracing: every frame a client displays (and
- * every fetch that feeds one) yields one causal record tracing the
- * request end to end through the pipeline.
+ * every fetch that feeds one) is traced end to end through the
+ * pipeline.
  *
  * A `FrameTraceContext` is minted at the client's frame request and
  * travels by value with the work: `Prefetcher` cover-set misses,
  * `net::Channel` transfers, `FrameServer` fan-out and backlog,
  * `PanoramaRenderCache` lookups (including single-flight joins), the
  * codec, delivery, and merge/display. Each stage stamps a `Hop` — a
- * sim-time interval plus a wall-clock timestamp — into the record via
- * `FrameTracer::hop()`. When the frame completes, the tracer computes
- * the critical path (the hop family with the largest total sim-time;
- * a frame dominated by `StallWait` descends into its linked fetch
- * record, yielding paths like `"stall_wait/transfer"`), scores the
- * frame against the deadline budget (`DeadlineTracker`). Every hop and
- * every frame completion is also recorded live into the flight
- * recorder (obs/flight.hh) as a sim-timeline event (pid 2, one track
- * per client), which is all `trace_report --frames` needs — from a
- * capture or a crash dump alike.
+ * sim-time interval plus a wall-clock timestamp — via
+ * `FrameTracer::hop()`. Every hop and every frame completion is
+ * recorded live into the flight recorder (obs/flight.hh) as a
+ * sim-timeline event (pid 2, one track per client); the rings are the
+ * only copy of the per-hop detail, and all `trace_report --frames`
+ * needs — from a capture or a crash dump alike.
+ *
+ * The tracer itself keeps only the records still in flight, each
+ * reduced to per-hop-family sim totals. When a record completes, the
+ * tracer computes its critical path (the hop family with the largest
+ * total sim-time; a frame dominated by `StallWait` descends into the
+ * dominant hop of its linked fetch, yielding paths like
+ * `"stall_wait/transfer"`), scores frames against the deadline budget
+ * (`DeadlineTracker`), and retires the record; aborted records are
+ * retired unscored.
  *
  * `finish()` (end of a session run) publishes the SLO summary to
  * `SloRegistry::global()` under the session label.
  *
  * Determinism: the tracer is observe-only and all exported values are
- * sim-time derived. Records are created and mutated exclusively from
- * the serial event loop; the mutex exists so concurrent readers
- * (snapshots) are safe, not to order writers.
+ * sim-time derived. Records are created and completed from the serial
+ * event loop; the mutex exists because pano-cache renders may stamp a
+ * session's contexts from pool threads, not to order writers.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "obs/slo.hh"
 #include "support/thread_annotations.hh"
@@ -74,10 +79,11 @@ class FrameTracer;
 
 /**
  * The causal identity that travels with a frame's work: which tracer
- * owns the record, which session/client/frame it is, and how many
- * hops have been stamped so far. Cheap to copy; a default-constructed
- * (or tracer-less) context is inert and every operation on it is a
- * no-op, so un-traced call paths need no branches.
+ * owns the record, which session/client/frame it is, how many hops
+ * have been stamped so far, and (once completed) its dominant hop.
+ * 32 bytes, cheap to copy; a default-constructed (or tracer-less)
+ * context is inert and every operation on it is a no-op, so
+ * un-traced call paths need no branches.
  */
 struct FrameTraceContext
 {
@@ -87,6 +93,7 @@ struct FrameTraceContext
     std::uint64_t frame = 0;   ///< frame number (or fetch sequence)
     std::uint32_t recordId = 0;
     std::uint8_t hops = 0;     ///< hop counter (stamped so far)
+    std::int8_t dominant = -1; ///< dominant Hop, set by complete()
 
     bool active() const { return tracer != nullptr; }
 
@@ -104,10 +111,13 @@ struct FrameTraceContext
                  std::uint64_t wallEndNs);
 };
 
+static_assert(sizeof(FrameTraceContext) == 32,
+              "the context travels by value with every hop");
+
 /**
- * Per-session-run collector of causal frame records. One instance per
- * `runSplitSystem` invocation; `label` keys the published SLO summary
- * (`<game>/<N>p/<system>`).
+ * Per-session-run tracker of in-flight causal frame records. One
+ * instance per `runSplitSystem` invocation; `label` keys the
+ * published SLO summary (`<game>/<N>p/<system>`).
  */
 class FrameTracer
 {
@@ -116,30 +126,6 @@ class FrameTracer
     enum class Kind : std::uint8_t {
         Fetch, ///< one frame fetch: request -> delivery
         Frame, ///< one displayed frame: schedule -> display
-    };
-
-    struct HopRecord
-    {
-        Hop hop;
-        double simBeginMs; ///< < 0 -> wall-only hop (hopWall)
-        double simDurMs;
-        std::uint64_t wallNs;    ///< wall clock at the stamp (or begin)
-        std::uint64_t wallDurNs; ///< wall duration (hopWall only)
-    };
-
-    struct FrameRecord
-    {
-        Kind kind;
-        std::uint16_t client;
-        std::uint64_t frame;
-        double mintedMs;
-        double doneMs = -1.0;
-        double latencyMs = 0.0;
-        bool completed = false;
-        bool aborted = false;
-        std::uint32_t link = 0; ///< 1 + linked fetch recordId; 0 none
-        std::string criticalPath;
-        std::vector<HopRecord> hops;
     };
 
     FrameTracer(std::string label, double budgetMs = kFrameBudgetMs);
@@ -154,30 +140,41 @@ class FrameTracer
     FrameTraceContext mint(Kind kind, std::uint16_t client,
                            std::uint64_t frame, double nowMs);
 
-    /** Stamp a hop into @p ctx's record (sim interval + wall stamp);
+    /** Stamp a hop (sim interval + wall stamp) into the flight rings
+     *  and, while @p ctx's record is in flight, its sim totals;
      *  increments the context's hop counter. No-op when inert. */
     void hop(FrameTraceContext &ctx, Hop h, double beginMs,
              double endMs);
 
-    /** Stamp a wall-only hop (see FrameTraceContext::hopWall). */
+    /** Stamp a wall-only hop (see FrameTraceContext::hopWall) into
+     *  the flight rings; it touches no record. */
     void hopWall(FrameTraceContext &ctx, Hop h,
                  std::uint64_t wallBeginNs, std::uint64_t wallEndNs);
 
-    /** Link a displayed frame to the fetch whose delivery unblocked
-     *  it, so critical paths can descend through the stall. */
+    /** Link a displayed frame to the completed fetch whose delivery
+     *  unblocked it (copies `fetchCtx.dominant`), so critical paths
+     *  can descend through the stall. */
     void link(const FrameTraceContext &frameCtx,
               const FrameTraceContext &fetchCtx);
 
-    /**
-     * Complete the record at sim time @p doneMs: latency becomes
-     * `doneMs - mintedMs`, the critical path is computed, Frame
-     * records are scored against the deadline, and flight-recorder
-     * events are emitted.
-     */
-    void complete(FrameTraceContext &ctx, double doneMs);
+    /** What complete() measured. */
+    struct Completion
+    {
+        double latencyMs = 0.0;
+        std::string criticalPath;
+    };
 
-    /** Mark the record abandoned (expired fetch, disconnect). */
-    void abort(FrameTraceContext &ctx, double nowMs);
+    /**
+     * Complete the in-flight record at sim time @p doneMs: latency
+     * becomes `doneMs - mintedMs`, the critical path is computed,
+     * Frame records are scored against the deadline and emit a flight
+     * `done` event, `ctx.dominant` is set, and the record is retired.
+     * Completing a record that is not in flight panics.
+     */
+    Completion complete(FrameTraceContext &ctx, double doneMs);
+
+    /** Retire the record unscored (expired fetch, disconnect). */
+    void abort(FrameTraceContext &ctx);
 
     /** End of run: publish the SLO summary to `SloRegistry::global()`
      *  under the label. */
@@ -186,29 +183,27 @@ class FrameTracer
     /** The deadline scoreboard (valid for the tracer's lifetime). */
     const DeadlineTracker &deadlines() const { return deadlines_; }
 
-    /** Completed-record lookup for tests; nullptr when absent. */
-    const FrameRecord *find(Kind kind, std::uint16_t client,
-                            std::uint64_t frame) const;
-
-    std::size_t recordCount() const;
+    /** Records minted and not yet completed or aborted. */
+    std::size_t liveRecordCount() const;
 
   private:
-    const FrameRecord *findLocked(Kind kind, std::uint16_t client,
-                                  std::uint64_t frame) const
-        COTERIE_REQUIRES(mutex_);
-    std::string criticalPathLocked(const FrameRecord &rec) const
-        COTERIE_REQUIRES(mutex_);
+    /** An in-flight record: what completion needs, nothing more. */
+    struct LiveRecord
+    {
+        Kind kind;
+        std::int8_t linkedDominant = -1; ///< linked fetch's dominant hop
+        double mintedMs;
+        /** Sim duration per hop family, summed in stamp order. */
+        std::array<double, kHopCount> simTotals{};
+    };
 
     std::string label_;
     const char *flightLabel_; ///< intern()-ed copy for ring events
     std::uint32_t sessionId_;
 
     mutable support::Mutex mutex_{"FrameTracer::mutex_"};
-    // deque: records must not move — contexts hold indices and
-    // completion touches linked records. Grows one record per frame or
-    // fetch for the whole session run (the tracer lives for one run),
-    // which is the tracer's job, not a leak.
-    std::deque<FrameRecord> records_ // lint:allow(unbounded-queue)
+    std::uint32_t nextId_ COTERIE_GUARDED_BY(mutex_) = 0;
+    std::unordered_map<std::uint32_t, LiveRecord> live_
         COTERIE_GUARDED_BY(mutex_);
     DeadlineTracker deadlines_ COTERIE_GUARDED_BY(mutex_);
 };

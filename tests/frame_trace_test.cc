@@ -3,7 +3,8 @@
  * Tests for the frame-lifecycle causal tracer, the deadline SLO
  * engine, and the always-on flight recorder: hop stamping and
  * critical-path computation (including stall descent into the linked
- * fetch record), deadline scoring/attribution and its JSON summary,
+ * fetch's dominant hop), record retirement at completion or abort,
+ * deadline scoring/attribution and its JSON summary,
  * SLO publication into the metrics snapshot, flight-ring wraparound
  * and dump parsing, and the crash-dump path (an injected
  * COTERIE_ASSERT must leave a parseable flight dump behind).
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "obs/flight.hh"
 #include "obs/frame_trace.hh"
@@ -33,6 +35,44 @@ class FrameTraceTest : public testing::Test
     void SetUp() override { SloRegistry::global().clear(); }
     void TearDown() override { SloRegistry::global().clear(); }
 };
+
+#if COTERIE_FLIGHT_ENABLED
+
+/** Stop the active flight capture and parse what it wrote. */
+Json
+stopCaptureAndLoad()
+{
+    const std::string path = "frame_trace_capture.json";
+    EXPECT_GE(flight::stopCapture(path), 0);
+    std::string text;
+    if (std::FILE *f = std::fopen(path.c_str(), "rb")) {
+        char buf[1 << 16];
+        std::size_t n;
+        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+            text.append(buf, n);
+        std::fclose(f);
+    }
+    std::remove(path.c_str());
+    std::string error;
+    Json doc = Json::parse(text, &error);
+    EXPECT_TRUE(error.empty()) << error;
+    return doc;
+}
+
+/** Captured events named @p name from the session labelled @p label. */
+std::vector<Json>
+frameEvents(const Json &doc, const std::string &name,
+            const std::string &label)
+{
+    std::vector<Json> out;
+    for (const Json &ev : doc.at("traceEvents").items())
+        if (ev.at("name").asString() == name &&
+            ev.at("args").at("label").asString() == label)
+            out.push_back(ev);
+    return out;
+}
+
+#endif // COTERIE_FLIGHT_ENABLED
 
 TEST_F(FrameTraceTest, HopNamesCoverEveryEnumerator)
 {
@@ -56,17 +96,13 @@ TEST_F(FrameTraceTest, CompletionComputesLatencyAndCriticalPath)
     ASSERT_TRUE(ctx.active());
     ctx.hop(Hop::Render, 100.0, 110.0);
     ctx.hop(Hop::Decode, 110.0, 112.0);
-    tracer.complete(ctx, 112.0);
+    const FrameTracer::Completion done = tracer.complete(ctx, 112.0);
 
-    const auto *rec =
-        tracer.find(FrameTracer::Kind::Frame, 3, 7);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_TRUE(rec->completed);
-    EXPECT_FALSE(rec->aborted);
-    EXPECT_DOUBLE_EQ(rec->latencyMs, 12.0);
-    EXPECT_EQ(rec->hops.size(), 2u);
-    EXPECT_EQ(rec->criticalPath, "render");
+    EXPECT_DOUBLE_EQ(done.latencyMs, 12.0);
+    EXPECT_EQ(done.criticalPath, "render");
     EXPECT_EQ(ctx.hops, 2);
+    EXPECT_EQ(ctx.dominant, static_cast<int>(Hop::Render));
+    EXPECT_EQ(tracer.deadlines().frames(), 1u);
 }
 
 TEST_F(FrameTraceTest, CriticalPathSumsHopFamilies)
@@ -79,10 +115,7 @@ TEST_F(FrameTraceTest, CriticalPathSumsHopFamilies)
     ctx.hop(Hop::Transfer, 0.0, 5.0);
     ctx.hop(Hop::Render, 5.0, 11.0);
     ctx.hop(Hop::Transfer, 11.0, 15.0);
-    tracer.complete(ctx, 15.0);
-    const auto *rec = tracer.find(FrameTracer::Kind::Fetch, 0, 1);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->criticalPath, "transfer");
+    EXPECT_EQ(tracer.complete(ctx, 15.0).criticalPath, "transfer");
 }
 
 TEST_F(FrameTraceTest, StallDescendsIntoLinkedFetch)
@@ -102,39 +135,41 @@ TEST_F(FrameTraceTest, StallDescendsIntoLinkedFetch)
     frame.hop(Hop::StallWait, 0.0, 30.0);
     tracer.link(frame, fetch);
     frame.hop(Hop::Merge, 30.0, 31.0);
-    tracer.complete(frame, 31.0);
-
-    const auto *rec = tracer.find(FrameTracer::Kind::Frame, 1, 5);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->criticalPath, "stall_wait/transfer");
+    EXPECT_EQ(tracer.complete(frame, 31.0).criticalPath,
+              "stall_wait/transfer");
 
     // Without a link the path stays flat.
     FrameTraceContext orphan =
         tracer.mint(FrameTracer::Kind::Frame, 1, 6, 0.0);
     orphan.hop(Hop::StallWait, 0.0, 20.0);
     orphan.hop(Hop::Merge, 20.0, 21.0);
-    tracer.complete(orphan, 21.0);
-    const auto *orec = tracer.find(FrameTracer::Kind::Frame, 1, 6);
-    ASSERT_NE(orec, nullptr);
-    EXPECT_EQ(orec->criticalPath, "stall_wait");
+    EXPECT_EQ(tracer.complete(orphan, 21.0).criticalPath, "stall_wait");
 }
 
 TEST_F(FrameTraceTest, WallOnlyHopsStayOffTheSimCriticalPath)
 {
     FrameTracer tracer("t/wall");
+#if COTERIE_FLIGHT_ENABLED
+    flight::startCapture();
+#endif
     FrameTraceContext ctx =
         tracer.mint(FrameTracer::Kind::Fetch, 0, 9, 0.0);
     // An enormous wall-clock cache probe must not beat 1 ms of
     // sim-time transfer: wall hops carry no sim attribution.
     ctx.hopWall(Hop::CacheLookup, 0, 50'000'000);
     ctx.hop(Hop::Transfer, 0.0, 1.0);
-    tracer.complete(ctx, 1.0);
-    const auto *rec = tracer.find(FrameTracer::Kind::Fetch, 0, 9);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->criticalPath, "transfer");
-    ASSERT_EQ(rec->hops.size(), 2u);
-    EXPECT_LT(rec->hops[0].simBeginMs, 0.0);
-    EXPECT_EQ(rec->hops[0].wallDurNs, 50'000'000u);
+    EXPECT_EQ(tracer.complete(ctx, 1.0).criticalPath, "transfer");
+#if COTERIE_FLIGHT_ENABLED
+    // The wall stamp is kept in the flight rings: the probe sits on
+    // the wall timeline (pid 1) carrying its 50 ms duration.
+    const Json doc = stopCaptureAndLoad();
+    const auto lookups = frameEvents(doc, "frame.cache_lookup", "t/wall");
+    ASSERT_EQ(lookups.size(), 1u);
+    EXPECT_EQ(lookups[0].at("pid").asNumber(), 1.0);
+    EXPECT_DOUBLE_EQ(lookups[0].at("dur").asNumber(), 50'000.0);
+    EXPECT_DOUBLE_EQ(lookups[0].at("args").at("wall_us").asNumber(),
+                     50'000.0);
+#endif
 }
 
 TEST_F(FrameTraceTest, InertContextIsANoOpEverywhere)
@@ -145,8 +180,8 @@ TEST_F(FrameTraceTest, InertContextIsANoOpEverywhere)
     inert.hopWall(Hop::CacheLookup, 0, 1);
     FrameTracer tracer("t/inert");
     tracer.complete(inert, 1.0);
-    tracer.abort(inert, 1.0);
-    EXPECT_EQ(tracer.recordCount(), 0u);
+    tracer.abort(inert);
+    EXPECT_EQ(tracer.liveRecordCount(), 0u);
     EXPECT_EQ(tracer.deadlines().frames(), 0u);
 }
 
@@ -156,12 +191,89 @@ TEST_F(FrameTraceTest, AbortedRecordsAreNotScored)
     FrameTraceContext ctx =
         tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
     ctx.hop(Hop::Render, 0.0, 5.0);
-    tracer.abort(ctx, 5.0);
-    const auto *rec = tracer.find(FrameTracer::Kind::Frame, 0, 1);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_TRUE(rec->aborted);
-    EXPECT_FALSE(rec->completed);
+    tracer.abort(ctx);
+    EXPECT_EQ(tracer.liveRecordCount(), 0u);
     EXPECT_EQ(tracer.deadlines().frames(), 0u);
+}
+
+TEST_F(FrameTraceTest, FinishedRecordsAreRetired)
+{
+    FrameTracer tracer("t/retire");
+    std::vector<FrameTraceContext> open;
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        const auto kind = i % 3 == 0 ? FrameTracer::Kind::Fetch
+                                     : FrameTracer::Kind::Frame;
+        open.push_back(tracer.mint(kind, 0, i, 0.0));
+        open.back().hop(Hop::Render, 0.0, 1.0 + i);
+    }
+    EXPECT_EQ(tracer.liveRecordCount(), open.size());
+
+    // Complete every even record (2 fetches, 4 frames), abort the rest.
+    std::uint64_t completedFrames = 0;
+    for (std::uint64_t i = 0; i < open.size(); ++i) {
+        if (i % 2 == 0) {
+            tracer.complete(open[i], 1.0 + i);
+            completedFrames += i % 3 != 0;
+        } else {
+            tracer.abort(open[i]);
+        }
+    }
+    EXPECT_EQ(completedFrames, 4u);
+    EXPECT_EQ(tracer.liveRecordCount(), 0u);
+    EXPECT_EQ(tracer.deadlines().frames(), completedFrames);
+}
+
+TEST_F(FrameTraceTest, HopsOnARetiredRecordAreDropped)
+{
+    FrameTracer tracer("t/retired");
+    FrameTraceContext aborted =
+        tracer.mint(FrameTracer::Kind::Fetch, 0, 1, 0.0);
+    tracer.abort(aborted);
+    FrameTraceContext done =
+        tracer.mint(FrameTracer::Kind::Frame, 0, 2, 0.0);
+    done.hop(Hop::Render, 0.0, 10.0);
+    tracer.complete(done, 10.0);
+    const std::string before = tracer.deadlines().toJson().dump(2);
+
+#if COTERIE_FLIGHT_ENABLED
+    flight::startCapture();
+#endif
+    // A late transfer of the aborted fetch, and a hop after the
+    // frame's completion: neither has a record left to land in.
+    aborted.hop(Hop::Transfer, 0.0, 50.0);
+    done.hop(Hop::Render, 10.0, 60.0);
+    EXPECT_EQ(aborted.hops, 1);
+    EXPECT_EQ(done.hops, 2);
+    EXPECT_EQ(tracer.liveRecordCount(), 0u);
+    EXPECT_EQ(tracer.deadlines().frames(), 1u);
+    EXPECT_EQ(tracer.deadlines().misses(), 0u);
+    EXPECT_EQ(tracer.deadlines().toJson().dump(2), before);
+#if COTERIE_FLIGHT_ENABLED
+    // ...but both still reach the flight rings.
+    const Json doc = stopCaptureAndLoad();
+    EXPECT_EQ(frameEvents(doc, "frame.transfer", "t/retired").size(), 1u);
+    EXPECT_EQ(frameEvents(doc, "frame.render", "t/retired").size(), 1u);
+#endif
+}
+
+TEST(FrameTraceDeath, CompletingARetiredRecordPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Keep the panic hook's flight dump out of the working directory.
+    const std::string path = "frame_trace_retired_death.json";
+    ASSERT_EQ(setenv("COTERIE_FLIGHT_DUMP", path.c_str(), 1), 0);
+    FrameTracer tracer("t/death");
+    FrameTraceContext done =
+        tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
+    tracer.complete(done, 1.0);
+    EXPECT_DEATH(tracer.complete(done, 2.0), "retired frame-trace record");
+    FrameTraceContext aborted =
+        tracer.mint(FrameTracer::Kind::Fetch, 0, 2, 0.0);
+    tracer.abort(aborted);
+    EXPECT_DEATH(tracer.complete(aborted, 2.0),
+                 "retired frame-trace record");
+    unsetenv("COTERIE_FLIGHT_DUMP");
+    std::remove(path.c_str());
 }
 
 TEST_F(FrameTraceTest, OnlyFrameRecordsFeedTheDeadlineTracker)

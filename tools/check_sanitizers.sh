@@ -21,10 +21,12 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 SANITIZERS=(thread address undefined)
 # lock_order_test rides every sanitizer leg: COTERIE_LOCK_ORDER=AUTO
 # resolves ON whenever COTERIE_SANITIZE is set, so the runtime
-# lock-order validator's death tests actually fire here.
+# lock-order validator's death tests actually fire here. chaos_test
+# drives the disconnect, retry and quarantine paths that retire frame
+# trace records while contexts still hold their ids.
 TEST_BINS=(parallel_test renderer_test ssim_test codec_test obs_test
            frame_trace_test bvh_test terrain_test pano_cache_test
-           lock_order_test event_queue_test fleet_test)
+           lock_order_test event_queue_test fleet_test chaos_test)
 PREFIX=""
 
 while [ $# -gt 0 ]; do
