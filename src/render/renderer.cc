@@ -130,13 +130,11 @@ Renderer::shadeRay(const Ray &ray, const RenderOptions &opts) const
     if (clipped.tMin < clipped.tMax)
         obj_hit = world_.bvh().closestHit(clipped);
 
-    // Terrain hit within the same interval, by the one-sample-at-a-time
-    // reference march (the batched pipeline's SIMD march is pinned to
-    // it bit for bit).
+    // Terrain hit within the same interval, by the uncapped march.
     double terrain_t = std::numeric_limits<double>::infinity();
     if (clipped.tMin < clipped.tMax) {
-        const std::optional<double> t = world_.terrain().intersectReference(
-            clipped, opts.terrainMaxDist);
+        const std::optional<double> t =
+            world_.terrain().intersect(clipped, opts.terrainMaxDist);
         if (t && *t >= clipped.tMin && *t <= clipped.tMax)
             terrain_t = *t;
     }

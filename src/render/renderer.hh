@@ -114,10 +114,9 @@ class Renderer
     /**
      * Shade a single ray: the per-ray reference the row-batched frame
      * pipeline is pinned against (tests/renderer_test.cc builds whole
-     * reference frames from it). Marches terrain with
-     * `Terrain::intersectReference`, one sample at a time, so it shares
-     * neither the packet traversal nor the SIMD terrain march with the
-     * frame path.
+     * reference frames from it). It shares no packet traversal with the
+     * frame path, and marches terrain uncapped (no `abortBeyond` at the
+     * object hit), so it also pins the frame path's capped march.
      */
     image::Rgb shadeRay(const geom::Ray &ray,
                         const RenderOptions &opts) const;

@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
 
 #include "support/rng.hh"
-#include "support/simd.hh"
 
 namespace coterie::world {
 
 using geom::Ray;
 using geom::Vec2;
 using geom::Vec3;
-using support::simd::U64x4;
-
-Terrain::Terrain(const TerrainParams &params) : params_(params) {}
 
 namespace {
 
@@ -34,109 +32,73 @@ latticeValue(std::int64_t ix, std::int64_t iy, std::uint64_t seed,
     return (h >> 11) * 0x1.0p-53 * 2.0 - 1.0; // [-1, 1)
 }
 
-constexpr int kLanes = support::simd::kLanes;
-
-/**
- * The four lattice corner values for four sample cells at once — the
- * integer-hash core of `latticeValue`, lane-vectorized. Bit-exactness
- * vs the scalar path holds under every dispatch clone: the hashing is
- * exact integer arithmetic, the u64→double conversion is exact below
- * 2^53, and the final scale multiplies by powers of two (exact), so
- * even an FMA contraction of `x * 2.0 - 1.0` rounds once to the same
- * double. No other FP runs inside the cloned region.
- */
-COTERIE_SIMD_CLONES void
-latticeCorners4(const std::int64_t ix[kLanes], const std::int64_t iy[kLanes],
-                std::uint64_t seedSalt, double v00[kLanes],
-                double v10[kLanes], double v01[kLanes], double v11[kLanes])
+/** Noise salt of fractal octave @p o. */
+std::uint64_t
+octaveSalt(int o)
 {
-    std::uint64_t ux[kLanes], ux1[kLanes], uy[kLanes], uy1[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-        ux[l] = static_cast<std::uint64_t>(ix[l]);
-        ux1[l] = static_cast<std::uint64_t>(ix[l] + 1);
-        uy[l] = static_cast<std::uint64_t>(iy[l]);
-        uy1[l] = static_cast<std::uint64_t>(iy[l] + 1);
-    }
-    using support::simd::hashCombine4;
-    using support::simd::hashMix4;
-    using support::simd::toDouble;
-    const U64x4 hx = hashMix4(U64x4::load(ux));
-    const U64x4 hx1 = hashMix4(U64x4::load(ux1));
-    const U64x4 hy = hashMix4(U64x4::load(uy));
-    const U64x4 hy1 = hashMix4(U64x4::load(uy1));
-    const U64x4 ss = U64x4::splat(seedSalt);
-    const auto corner = [&](U64x4 cx, U64x4 cy, double out[kLanes]) {
-        const U64x4 h = hashMix4(hashCombine4(ss, hashCombine4(cx, cy)));
-        const support::simd::F64x4 val = toDouble(h >> 11);
-        for (int l = 0; l < kLanes; ++l)
-            out[l] = val[l] * 0x1.0p-53 * 2.0 - 1.0; // [-1, 1)
-    };
-    corner(hx, hy, v00);
-    corner(hx1, hy, v10);
-    corner(hx, hy1, v01);
-    corner(hx1, hy1, v11);
-}
-
-/**
- * `noise2` over four sample points sharing one salt. The scalar FP
- * glue (floor, fade, lerp) is the exact expression sequence of the
- * scalar `noise2`, per lane; only the corner hashing is lane-wide.
- */
-void
-noise2x4(const TerrainParams &params, const double x[kLanes],
-         const double y[kLanes], std::uint64_t salt, double out[kLanes])
-{
-    double fx[kLanes], fy[kLanes];
-    std::int64_t ix[kLanes], iy[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-        fx[l] = std::floor(x[l]);
-        fy[l] = std::floor(y[l]);
-        ix[l] = static_cast<std::int64_t>(fx[l]);
-        iy[l] = static_cast<std::int64_t>(fy[l]);
-    }
-    double v00[kLanes], v10[kLanes], v01[kLanes], v11[kLanes];
-    latticeCorners4(ix, iy, params.seed ^ salt, v00, v10, v01, v11);
-    for (int l = 0; l < kLanes; ++l) {
-        const double tx = fade(x[l] - fx[l]);
-        const double ty = fade(y[l] - fy[l]);
-        const double a = v00[l] + (v10[l] - v00[l]) * tx;
-        const double b = v01[l] + (v11[l] - v01[l]) * tx;
-        out[l] = a + (b - a) * ty;
-    }
-}
-
-/** `fractal` (and the amplitude scale of `heightAt`) over four ground
- *  points — per-lane op-for-op identical to the scalar octave loop. */
-void
-heightAt4(const TerrainParams &params, const double px[kLanes],
-          const double pz[kLanes], double out[kLanes])
-{
-    double amp = 1.0;
-    double freq = 1.0 / params.featureScale;
-    double sum[kLanes] = {};
-    double norm = 0.0;
-    for (int o = 0; o < params.octaves; ++o) {
-        double xs[kLanes], ys[kLanes], n[kLanes];
-        for (int l = 0; l < kLanes; ++l) {
-            xs[l] = px[l] * freq;
-            ys[l] = pz[l] * freq;
-        }
-        noise2x4(params, xs, ys, 0x5eedULL + static_cast<std::uint64_t>(o),
-                 n);
-        for (int l = 0; l < kLanes; ++l)
-            sum[l] += amp * n[l];
-        norm += amp;
-        amp *= 0.5;
-        freq *= 2.0;
-    }
-    for (int l = 0; l < kLanes; ++l)
-        out[l] = params.amplitude * (norm > 0.0 ? sum[l] / norm : 0.0);
+    return 0x5eedULL + static_cast<std::uint64_t>(o);
 }
 
 } // namespace
 
+Terrain::Terrain(const TerrainParams &params, const geom::Rect &cover)
+    : params_(params)
+{
+    if (params_.flat || cover.width() <= 0.0 || cover.height() <= 0.0)
+        return;
+    // Same frequency sequence as fractal(), so a table's index range
+    // matches the lattice cells its octave's samples land in.
+    const double margin = kLatticeMargin * params_.featureScale;
+    double freq = 1.0 / params_.featureScale;
+    lattice_.resize(static_cast<std::size_t>(std::max(params_.octaves, 0)));
+    for (int o = 0; o < params_.octaves; ++o) {
+        Lattice &l = lattice_[static_cast<std::size_t>(o)];
+        const auto extent = [&](double lo, double hi) {
+            const auto first =
+                static_cast<std::int64_t>(std::floor((lo - margin) * freq));
+            const auto last =
+                static_cast<std::int64_t>(std::floor((hi + margin) * freq));
+            // Points first ..= last + 1, the far corner of the last cell.
+            return std::pair{first, last - first + 2};
+        };
+        std::tie(l.x0, l.width) = extent(cover.lo.x, cover.hi.x);
+        std::tie(l.y0, l.height) = extent(cover.lo.y, cover.hi.y);
+        l.values.resize(static_cast<std::size_t>(l.width * l.height));
+        double *v = l.values.data();
+        for (std::int64_t iy = l.y0; iy < l.y0 + l.height; ++iy)
+            for (std::int64_t ix = l.x0; ix < l.x0 + l.width; ++ix)
+                *v++ = latticeValue(ix, iy, params_.seed, octaveSalt(o));
+        freq *= 2.0;
+    }
+}
+
+std::size_t
+Terrain::latticePoints() const
+{
+    std::size_t n = 0;
+    for (const Lattice &l : lattice_)
+        n += l.values.size();
+    return n;
+}
+
+const double *
+Terrain::Lattice::cell(std::int64_t ix, std::int64_t iy) const
+{
+    // Unsigned offsets: a cell left of or below the table wraps high.
+    // A table is at least 2 points wide and high.
+    const auto cx = static_cast<std::uint64_t>(ix) -
+                    static_cast<std::uint64_t>(x0);
+    const auto cy = static_cast<std::uint64_t>(iy) -
+                    static_cast<std::uint64_t>(y0);
+    if (cx >= static_cast<std::uint64_t>(width - 1) ||
+        cy >= static_cast<std::uint64_t>(height - 1))
+        return nullptr;
+    return values.data() + cy * static_cast<std::uint64_t>(width) + cx;
+}
+
 double
-Terrain::noise2(double x, double y, std::uint64_t salt) const
+Terrain::noise2(double x, double y, std::uint64_t salt,
+                const Lattice *lattice) const
 {
     const double fx = std::floor(x);
     const double fy = std::floor(y);
@@ -144,10 +106,19 @@ Terrain::noise2(double x, double y, std::uint64_t salt) const
     const auto iy = static_cast<std::int64_t>(fy);
     const double tx = fade(x - fx);
     const double ty = fade(y - fy);
-    const double v00 = latticeValue(ix, iy, params_.seed, salt);
-    const double v10 = latticeValue(ix + 1, iy, params_.seed, salt);
-    const double v01 = latticeValue(ix, iy + 1, params_.seed, salt);
-    const double v11 = latticeValue(ix + 1, iy + 1, params_.seed, salt);
+    double v00, v10, v01, v11;
+    if (const double *row0 = lattice ? lattice->cell(ix, iy) : nullptr) {
+        const double *row1 = row0 + lattice->width;
+        v00 = row0[0];
+        v10 = row0[1];
+        v01 = row1[0];
+        v11 = row1[1];
+    } else {
+        v00 = latticeValue(ix, iy, params_.seed, salt);
+        v10 = latticeValue(ix + 1, iy, params_.seed, salt);
+        v01 = latticeValue(ix, iy + 1, params_.seed, salt);
+        v11 = latticeValue(ix + 1, iy + 1, params_.seed, salt);
+    }
     const double a = v00 + (v10 - v00) * tx;
     const double b = v01 + (v11 - v01) * tx;
     return a + (b - a) * ty;
@@ -161,8 +132,8 @@ Terrain::fractal(Vec2 p) const
     double sum = 0.0;
     double norm = 0.0;
     for (int o = 0; o < params_.octaves; ++o) {
-        sum += amp * noise2(p.x * freq, p.y * freq,
-                            0x5eedULL + static_cast<std::uint64_t>(o));
+        sum += amp * noise2(p.x * freq, p.y * freq, octaveSalt(o),
+                            lattice_.empty() ? nullptr : &lattice_[o]);
         norm += amp;
         amp *= 0.5;
         freq *= 2.0;
@@ -204,11 +175,9 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
         return t;
     }
     // Adaptive march (step grows with distance — angular error budget),
-    // then bisection refinement; same schedule and brackets as
-    // intersectReference, evaluated four schedule points per heightAt4
-    // batch. A ray whose clipped start is already below the surface is
-    // treated as clipped out (no hit), matching depth-interval clipping
-    // semantics in the renderer.
+    // then bisection refinement. A ray whose clipped start is already
+    // below the surface is treated as clipped out (no hit), matching
+    // depth-interval clipping semantics in the renderer.
     double t_prev = ray.tMin;
     const double h_start = ray.origin.y + t_prev * ray.dir.y -
                            heightAt(ray.at(t_prev).ground());
@@ -218,130 +187,19 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
     // Early-escape threshold for climbing rays. The fractal is a
     // normalized average of [-1, 1) noise, so |height| < |amplitude|
     // everywhere: above |amplitude| a non-descending ray can never
-    // cross, making escape at |amplitude| result-identical to marching
-    // on. The min() with the reference loop's amplitude + 0.5 keeps the
-    // escape no later than the reference's for any params.
+    // cross, making escape there result-identical to marching on. The
+    // min() with amplitude + 0.5 (the original escape height) keeps
+    // the escape no later than that for any params.
     const double escape =
         std::min(params_.amplitude + 0.5, std::abs(params_.amplitude));
     const bool climbing = ray.dir.y >= 0.0;
-    const auto bisect = [&](double lo, double hi) {
-        for (int i = 0; i < 16; ++i) {
-            const double mid = 0.5 * (lo + hi);
-            const Vec3 mp = ray.at(mid);
-            if (mp.y - heightAt(mp.ground()) <= 0.0)
-                hi = mid;
-            else
-                lo = mid;
-        }
-        return hi;
-    };
     double t = t_prev;
-    // Scalar prologue: rays from a low eye looking down cross within
-    // the first few samples, and a 4-wide batch would pay for four
-    // height evaluations where one suffices. The schedule is a pure
-    // function of t, so peeling samples off the front changes nothing
-    // but the batching.
-    for (int k = 0; k < kLanes && t < limit; ++k) {
+    while (t < limit) {
         t = std::min(limit, t + std::max(0.35, t * 0.025));
         const Vec3 p = ray.at(t);
         if (climbing && p.y > escape)
             return std::nullopt;
-        if (p.y - heightAt(p.ground()) <= 0.0)
-            return bisect(t_prev, t);
-        if (t > abortBeyond)
-            return std::nullopt;
-        t_prev = t;
-    }
-#ifdef COTERIE_SIMD_VECTOR_EXT
-    constexpr bool batched_march = true;
-#else
-    // Scalar-lane fallback build: heightAt4 has no SIMD payoff, and a
-    // batch always evaluates its full width — overshoot work the
-    // per-sample march below avoids. Same schedule, same results.
-    constexpr bool batched_march = false;
-#endif
-    if (!batched_march) {
-        while (t < limit) {
-            t = std::min(limit, t + std::max(0.35, t * 0.025));
-            const Vec3 p = ray.at(t);
-            if (climbing && p.y > escape)
-                return std::nullopt;
-            if (p.y - heightAt(p.ground()) <= 0.0)
-                return bisect(t_prev, t);
-            if (t > abortBeyond)
-                return std::nullopt;
-            t_prev = t;
-        }
-        return std::nullopt;
-    }
-    while (t < limit) {
-        // Next (up to) kLanes points of the reference schedule; the
-        // schedule is a pure function of t, so batching does not move
-        // any sample.
-        double ts[kLanes];
-        int n = 0;
-        while (n < kLanes && t < limit) {
-            t = std::min(limit, t + std::max(0.35, t * 0.025));
-            ts[n++] = t;
-        }
-        double px[kLanes], py[kLanes], pz[kLanes];
-        for (int k = 0; k < n; ++k) {
-            const Vec3 p = ray.at(ts[k]);
-            px[k] = p.x;
-            py[k] = p.y;
-            pz[k] = p.z;
-        }
-        for (int k = n; k < kLanes; ++k) { // pad idle lanes
-            px[k] = px[n - 1];
-            py[k] = py[n - 1];
-            pz[k] = pz[n - 1];
-        }
-        double height[kLanes];
-        heightAt4(params_, px, pz, height);
-        for (int k = 0; k < n; ++k) {
-            // Early escape: climbing above any possible terrain.
-            if (climbing && py[k] > escape)
-                return std::nullopt;
-            if (py[k] - height[k] <= 0.0)
-                return bisect(t_prev, ts[k]);
-            // No crossing up to this sample: a later root would
-            // bisect to hi > ts[k] > abortBeyond, which the caller
-            // has declared irrelevant (occluded by a closer hit).
-            if (ts[k] > abortBeyond)
-                return std::nullopt;
-            t_prev = ts[k];
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<double>
-Terrain::intersectReference(const Ray &ray, double maxDist) const
-{
-    if (params_.flat) {
-        // Plane y = 0.
-        if (std::abs(ray.dir.y) < 1e-12)
-            return std::nullopt;
-        const double t = -ray.origin.y / ray.dir.y;
-        if (t < ray.tMin || t > std::min(ray.tMax, maxDist))
-            return std::nullopt;
-        return t;
-    }
-    double t_prev = ray.tMin;
-    double h_prev = ray.origin.y + t_prev * ray.dir.y -
-                    heightAt(ray.at(t_prev).ground());
-    if (h_prev <= 0.0)
-        return std::nullopt;
-    const double limit = std::min(ray.tMax, maxDist);
-    double t = t_prev;
-    while (t < limit) {
-        t = std::min(limit, t + std::max(0.35, t * 0.025));
-        const Vec3 p = ray.at(t);
-        // Early escape: climbing above any possible terrain.
-        if (ray.dir.y >= 0.0 && p.y > params_.amplitude + 0.5)
-            return std::nullopt;
-        const double h = p.y - heightAt(p.ground());
-        if (h <= 0.0) {
+        if (p.y - heightAt(p.ground()) <= 0.0) {
             double lo = t_prev, hi = t;
             for (int i = 0; i < 16; ++i) {
                 const double mid = 0.5 * (lo + hi);
@@ -353,10 +211,13 @@ Terrain::intersectReference(const Ray &ray, double maxDist) const
             }
             return hi;
         }
+        // No crossing up to this sample: a later root would bisect to
+        // hi > t > abortBeyond, which the caller has declared
+        // irrelevant (occluded by a closer hit).
+        if (t > abortBeyond)
+            return std::nullopt;
         t_prev = t;
-        h_prev = h;
     }
-    (void)h_prev;
     return std::nullopt;
 }
 
@@ -367,7 +228,7 @@ Terrain::colorAt(Vec2 p) const
         return {96, 92, 88}; // indoor floor
     const double h = heightAt(p);
     const double moisture =
-        0.5 + 0.5 * noise2(p.x / 37.0, p.y / 37.0, 0x5151ULL);
+        0.5 + 0.5 * noise2(p.x / 37.0, p.y / 37.0, 0x5151ULL, nullptr);
     // Grass -> dirt -> rock blend with elevation.
     const double rockiness =
         std::clamp((h / std::max(params_.amplitude, 1e-9)) * 0.5 + 0.3,

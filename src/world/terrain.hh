@@ -11,9 +11,11 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "geom/ray.hh"
 #include "geom/region.hh"
@@ -38,11 +40,26 @@ struct TerrainParams
 /**
  * Continuous heightfield over the ground plane, built from fractal
  * value noise. Deterministic in its seed.
+ *
+ * The noise lattice values are pure functions of (octave, ix, iy), so
+ * the constructor tabulates each octave's lattice over a cover
+ * rectangle (the world bounds) grown by `kLatticeMargin` feature
+ * scales; a height sample inside it reads its corners from the tables
+ * and only points outside hash. The tables are written once, here, and
+ * hold exactly the hashed doubles, so every query is bit-identical to
+ * an untabulated terrain's.
  */
 class Terrain
 {
   public:
-    explicit Terrain(const TerrainParams &params = {});
+    /** How far the lattice tables reach past the cover, in feature
+     *  scales. On a traced perfbench fleet_shared run (fleet, render
+     *  probe and replay) all 343 M lookups land inside Viking's. */
+    static constexpr double kLatticeMargin = 4.0;
+
+    /** An empty @p cover (the default) tabulates nothing. */
+    explicit Terrain(const TerrainParams &params = {},
+                     const geom::Rect &cover = {});
 
     const TerrainParams &params() const { return params_; }
 
@@ -60,11 +77,9 @@ class Terrain
 
     /**
      * March a ray against the heightfield; returns hit distance, or
-     * nullopt if the ray escapes. Step-marched with refinement; the
-     * noise evaluations run four schedule points at a time through the
-     * SIMD hash kernel, bit-identical to `intersectReference` (the
-     * integer hash core is exact and the FP glue stays scalar —
-     * tests/terrain_test.cc asserts equality).
+     * nullopt if the ray escapes. An adaptive step march (one height
+     * sample per step) with bisection refinement; tests/terrain_test.cc
+     * pins a ray sweep's hits to a recorded digest.
      *
      * @p abortBeyond lets the renderer stop marching once the sample
      * distance exceeds a known closer object hit: the march aborts only
@@ -79,26 +94,34 @@ class Terrain
               double abortBeyond =
                   std::numeric_limits<double>::infinity()) const;
 
-    /**
-     * The per-sample scalar march: the reference `intersect` is pinned
-     * to (tests/terrain_test.cc) and the march `Renderer::shadeRay`
-     * uses, so per-ray reference frames share no SIMD code with the
-     * batched frame pipeline.
-     */
-    std::optional<double> intersectReference(const geom::Ray &ray,
-                                             double maxDist) const;
-
     /** Ground albedo at a point (height/moisture-tinted). */
     image::Rgb colorAt(geom::Vec2 p) const;
 
     /** Terrain mesh triangles inside a disc of @p radius around @p p. */
     double trianglesWithin(geom::Vec2 p, double radius) const;
 
+    /** Lattice values tabulated over all octaves (0 when untabulated). */
+    std::size_t latticePoints() const;
+
   private:
-    double noise2(double x, double y, std::uint64_t salt) const;
+    /** One octave's lattice values, row-major from (x0, y0). */
+    struct Lattice
+    {
+        std::int64_t x0 = 0, y0 = 0;
+        std::int64_t width = 0, height = 0;
+        std::vector<double> values;
+
+        /** Value at lattice point (ix, iy) when the cell it anchors
+         *  (through ix + 1, iy + 1) is tabulated, else nullptr. */
+        const double *cell(std::int64_t ix, std::int64_t iy) const;
+    };
+
+    double noise2(double x, double y, std::uint64_t salt,
+                  const Lattice *lattice) const;
     double fractal(geom::Vec2 p) const;
 
     TerrainParams params_;
+    std::vector<Lattice> lattice_; ///< per octave; empty if untabulated
 };
 
 } // namespace coterie::world

@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for the procedural terrain: determinism, continuity, flat
- * floors, ray-march/heightfield consistency, and the foothold query
- * used to place the player camera.
+ * floors, ray-march/heightfield consistency, the foothold query used to
+ * place the player camera, and the tabulated noise lattice against the
+ * hashed one.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "support/rng.hh"
 #include "world/terrain.hh"
@@ -125,42 +129,66 @@ TEST(Terrain, FlatFloorRayIntersection)
     EXPECT_NEAR(ray.at(*hit).y, 0.0, 1e-9);
 }
 
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** FNV-1a over the little-endian bytes of @p bits, folded into @p h. */
+void
+foldBits(std::uint64_t &h, std::uint64_t bits)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+    }
+}
+
 TEST(Terrain, MarchMatchesReferenceOverRaySweep)
 {
-    // The SIMD-batched march (scalar prologue + 4-wide sample batches)
-    // must be bit-identical to the preserved per-sample reference
-    // march: same hit/miss decision and the exact same distance.
+    // The march's hit/miss decisions and exact hit distances over a ray
+    // sweep, pinned to values recorded from the original per-sample
+    // reference march: the digest folds every ray's hit distance bits
+    // (all-ones for a miss) in sweep order. Run untabulated and with a
+    // lattice table the sweep's rays march out of.
+    constexpr int kGoldenHits = 281;
+    constexpr int kGoldenMisses = 349;
+    constexpr std::uint64_t kGoldenDigest = 0xe7c2af1b4ccf9eefull;
     TerrainParams p;
     p.seed = 9;
     p.amplitude = 4.0;
-    Terrain t(p);
-    int hits = 0, misses = 0;
-    for (double ox = -40; ox <= 40; ox += 16.0) {
-        for (double oy : {1.5, 6.0, 30.0}) {
-            for (double pitch : {-0.8, -0.2, -0.02, 0.0, 0.15}) {
-                for (double yaw = 0.0; yaw < 6.0; yaw += 0.9) {
-                    Ray ray;
-                    ray.origin = {ox, oy, -ox * 0.5};
-                    ray.dir = Vec3{std::cos(yaw) * std::cos(pitch),
-                                   std::sin(pitch),
-                                   std::sin(yaw) * std::cos(pitch)}
-                                  .normalized();
-                    const auto fast = t.intersect(ray, 300.0);
-                    const auto ref = t.intersectReference(ray, 300.0);
-                    ASSERT_EQ(fast.has_value(), ref.has_value());
-                    if (ref) {
-                        EXPECT_EQ(*fast, *ref);
-                        ++hits;
-                    } else {
-                        ++misses;
+    const geom::Rect cover{{-50.0, -30.0}, {50.0, 30.0}};
+    for (const Terrain &t : {Terrain(p), Terrain(p, cover)}) {
+        int hits = 0, misses = 0;
+        std::uint64_t digest = 1469598103934665603ull;
+        for (double ox = -40; ox <= 40; ox += 16.0) {
+            for (double oy : {1.5, 6.0, 30.0}) {
+                for (double pitch : {-0.8, -0.2, -0.02, 0.0, 0.15}) {
+                    for (double yaw = 0.0; yaw < 6.0; yaw += 0.9) {
+                        Ray ray;
+                        ray.origin = {ox, oy, -ox * 0.5};
+                        ray.dir = Vec3{std::cos(yaw) * std::cos(pitch),
+                                       std::sin(pitch),
+                                       std::sin(yaw) * std::cos(pitch)}
+                                      .normalized();
+                        const auto hit = t.intersect(ray, 300.0);
+                        foldBits(digest, hit ? bitsOf(*hit) : ~0ull);
+                        ++(hit ? hits : misses);
                     }
                 }
             }
         }
+        // The sweep must exercise both outcomes to mean anything.
+        EXPECT_GT(hits, 100);
+        EXPECT_GT(misses, 100);
+        EXPECT_EQ(hits, kGoldenHits);
+        EXPECT_EQ(misses, kGoldenMisses);
+        EXPECT_EQ(digest, kGoldenDigest)
+            << "sweep digest 0x" << std::hex << digest;
     }
-    // The sweep must exercise both outcomes to mean anything.
-    EXPECT_GT(hits, 100);
-    EXPECT_GT(misses, 100);
 }
 
 TEST(Terrain, AbortBeyondPreservesAcceptedHits)
@@ -201,6 +229,108 @@ TEST(Terrain, AbortBeyondPreservesAcceptedHits)
     ASSERT_EQ(inf_cap.has_value(), plain.has_value());
     if (plain)
         EXPECT_EQ(*inf_cap, *plain);
+}
+
+/**
+ * Independent oracle for the lattice table: the same params built with
+ * a cover (table lookups) and without one (every lookup hashes) must
+ * agree bit for bit on every query, across the table's edges.
+ */
+TEST(Terrain, LatticeTableMatchesHashedLattice)
+{
+    TerrainParams p;
+    p.seed = 13;
+    p.amplitude = 5.0;
+    p.featureScale = 40.0;
+    p.octaves = 3;
+    const geom::Rect cover{{-30.0, -20.0}, {70.0, 50.0}};
+    const Terrain tabulated(p, cover);
+    const Terrain hashed(p);
+    ASSERT_GT(tabulated.latticePoints(), 0u);
+    EXPECT_EQ(hashed.latticePoints(), 0u);
+
+    // Every lattice line of every octave from well outside the table to
+    // well outside on the other side, hit exactly and one ulp to either
+    // side: the grid straddles each table edge and corner, includes
+    // negative coordinates and exact lattice boundaries.
+    const double margin = Terrain::kLatticeMargin * p.featureScale;
+    const auto lines = [&](double lo, double hi) {
+        std::vector<double> out;
+        double freq = 1.0 / p.featureScale;
+        for (int o = 0; o < p.octaves; ++o, freq *= 2.0) {
+            const auto k0 = static_cast<std::int64_t>(
+                std::floor((lo - margin) * freq)) - 2;
+            const auto k1 = static_cast<std::int64_t>(
+                std::ceil((hi + margin) * freq)) + 2;
+            for (std::int64_t k = k0; k <= k1; ++k) {
+                const double x = static_cast<double>(k) / freq;
+                out.push_back(std::nextafter(x, -1e300));
+                out.push_back(x);
+                out.push_back(std::nextafter(x, 1e300));
+            }
+        }
+        return out;
+    };
+    const std::vector<double> xs = lines(cover.lo.x, cover.hi.x);
+    const std::vector<double> ys = lines(cover.lo.y, cover.hi.y);
+    ASSERT_LT(xs.front(), cover.lo.x - margin);
+    ASSERT_GT(xs.back(), cover.hi.x + margin);
+    int mismatches = 0;
+    for (const double x : xs) {
+        for (const double y : ys) {
+            const Vec2 q{x, y};
+            const Vec3 na = tabulated.normalAt(q);
+            const Vec3 nb = hashed.normalAt(q);
+            const bool same =
+                bitsOf(tabulated.heightAt(q)) == bitsOf(hashed.heightAt(q)) &&
+                bitsOf(na.x) == bitsOf(nb.x) &&
+                bitsOf(na.y) == bitsOf(nb.y) &&
+                bitsOf(na.z) == bitsOf(nb.z) &&
+                tabulated.colorAt(q) == hashed.colorAt(q);
+            if (!same && ++mismatches <= 5)
+                ADD_FAILURE() << "table != hash at (" << x << ", " << y
+                              << ")";
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << xs.size() * ys.size() << " points";
+
+    // Rays from inside the cover and from outside the table, marching
+    // out of (or into) it: identical hit decisions and distances, with
+    // hits on both sides of the table edge.
+    Rng rng(17);
+    int inside = 0, outside = 0;
+    for (int i = 0; i < 600; ++i) {
+        Ray ray;
+        const double reach = (i % 2 == 0) ? 0.0 : margin + 60.0;
+        ray.origin = {rng.uniform(cover.lo.x - reach, cover.hi.x + reach),
+                      rng.uniform(1.0, 12.0),
+                      rng.uniform(cover.lo.y - reach, cover.hi.y + reach)};
+        ray.dir = Vec3{rng.normal(), -std::abs(rng.normal()) * 0.03,
+                       rng.normal()}
+                      .normalized();
+        const auto a = tabulated.intersect(ray, 600.0);
+        const auto b = hashed.intersect(ray, 600.0);
+        ASSERT_EQ(a.has_value(), b.has_value()) << "ray " << i;
+        if (!a)
+            continue;
+        EXPECT_EQ(bitsOf(*a), bitsOf(*b)) << "ray " << i;
+        const Vec2 g = ray.at(*a).ground();
+        const bool in_table = g.x > cover.lo.x - margin &&
+                              g.x < cover.hi.x + margin &&
+                              g.y > cover.lo.y - margin &&
+                              g.y < cover.hi.y + margin;
+        ++(in_table ? inside : outside);
+    }
+    EXPECT_GT(inside, 20);
+    EXPECT_GT(outside, 20);
+}
+
+TEST(Terrain, FlatTerrainBuildsNoTable)
+{
+    TerrainParams p;
+    p.flat = true;
+    const Terrain t(p, geom::Rect{{0.0, 0.0}, {100.0, 100.0}});
+    EXPECT_EQ(t.latticePoints(), 0u);
 }
 
 TEST(Terrain, TrianglesWithinScalesWithArea)

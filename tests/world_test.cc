@@ -2,7 +2,8 @@
  * @file
  * Tests for WorldObject geometry and the VirtualWorld spatial queries:
  * objectsWithin, near-set signatures (stability and angular-size
- * filtering), triangle counts, and eye placement.
+ * filtering), triangle counts, eye placement, and the terrain lattice
+ * table built over the world bounds.
  */
 
 #include <gtest/gtest.h>
@@ -166,6 +167,19 @@ TEST(World, MoveSemantics)
     EXPECT_EQ(moved.objects().size(), n);
     EXPECT_TRUE(moved.finalized());
     EXPECT_EQ(moved.objectsWithin({50, 50}, 5.0).size(), 2u);
+}
+
+TEST(World, TerrainTabulatedOverBoundsAndKeptOnMove)
+{
+    TerrainParams terrain;
+    VirtualWorld world("hills", Rect{{0, 0}, {100, 100}}, terrain);
+    const std::size_t points = world.terrain().latticePoints();
+    EXPECT_GT(points, 0u);
+    VirtualWorld moved = std::move(world);
+    EXPECT_EQ(moved.terrain().latticePoints(), points);
+    const Terrain hashed(terrain);
+    EXPECT_EQ(moved.terrain().heightAt({37.5, 61.25}),
+              hashed.heightAt({37.5, 61.25}));
 }
 
 } // namespace
