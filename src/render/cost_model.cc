@@ -98,30 +98,26 @@ LocationCostCache::LocationCostCache(const world::VirtualWorld &world,
     const double maxReach = std::min(maxRadius, params.cullDistance);
     if (maxReach <= 0.0)
         return;
-    // Callback disc query, cached in BVH traversal order — replaying
-    // objects_ in this order keeps effectiveTriangles() bit-identical
-    // to the uncached free function (which sums in the same order).
-    world.forEachObjectWithin(eye, maxReach, [&](std::uint32_t id) {
-        const world::WorldObject &obj = world.object(id);
-        // queryDisc's membership metric: squared distance from the eye
-        // to the object's AABB footprint in the ground plane.
-        const geom::Aabb box = obj.bounds();
-        const double dx =
-            std::max({box.lo.x - eye.x, 0.0, eye.x - box.hi.x});
-        const double dz =
-            std::max({box.lo.z - eye.y, 0.0, eye.y - box.hi.z});
-        objects_.push_back({dx * dx + dz * dz,
-                            obj.footprint().distance(eye),
-                            static_cast<double>(obj.triangles)});
-    });
+    // One linear pass over the footprint table, in leaf-slot order:
+    // the objects and order of queryDisc(eye, maxReach), so replaying
+    // objects_ keeps effectiveTriangles() bit-identical to the uncached
+    // free function (which sums in the same order).
+    const world::Bvh &bvh = world.bvh();
+    const double r2 = maxReach * maxReach;
+    objects_.reserve(bvh.slotCount());
+    for (std::size_t s = 0; s < bvh.slotCount(); ++s) {
+        const double distSq = bvh.slotFootprintDistSq(s, eye);
+        if (distSq > r2)
+            continue;
+        const double d = bvh.slotCenter(s).distance(eye);
+        objects_.push_back(
+            {distSq, d, bvh.slotTriangles(s) * lodWeight(d, params)});
+    }
 }
 
 double
 LocationCostCache::effectiveTriangles(double rMin, double rMax) const
 {
-    // Every query here is a BVH disc query saved relative to the
-    // uncached effectiveTriangles() path.
-    COTERIE_COUNT("cost.location_cache_queries");
     const double reach = std::min(rMax, params_.cullDistance);
     double total =
         terrainEffectiveTriangles(world_, eye_, rMin, rMax, params_);
@@ -132,12 +128,22 @@ LocationCostCache::effectiveTriangles(double rMin, double rMax) const
                 continue; // outside this query's disc
             if (obj.centerDist < rMin)
                 continue; // belongs to the inner layer
-            total += obj.triangles * lodWeight(obj.centerDist, params_);
+            total += obj.weighted;
         }
     }
     if (params_.saturationTriangles > 0.0)
         total = total / (1.0 + total / params_.saturationTriangles);
     return total;
+}
+
+void
+LocationCostCache::retainWithin(double radius)
+{
+    const double reach = std::min(radius, params_.cullDistance);
+    const double r2 = reach * reach;
+    std::erase_if(objects_, [r2](const CachedObject &obj) {
+        return obj.footprintDistSq > r2;
+    });
 }
 
 double

@@ -60,18 +60,21 @@ double renderTimeMs(const world::VirtualWorld &world, geom::Vec2 eye,
  * The cutoff binary search evaluates `renderTimeMs` at the same
  * location a dozen times with different radii; the free function
  * re-runs the BVH disc query from scratch on every call. This cache
- * fetches the object set once (at the largest radius the search can
- * reach) and replays the same per-object terms, bit-identical to the
- * uncached path for any rMax <= maxRadius: membership uses the exact
- * footprint-distance test of `Bvh::queryDisc`, and summation keeps the
- * BVH traversal order.
+ * reads the BVH's footprint table once (every object within the
+ * largest radius the search can reach) and keeps each object's
+ * footprint metric, centre distance and LOD-weighted triangles,
+ * bit-identical to the uncached path for any rMax <= maxRadius:
+ * membership uses `world::footprintDistSq`, the exact test of
+ * `Bvh::queryDisc`; the weight is the same rounded product the free
+ * function adds; and summation keeps the BVH's leaf-slot order, which
+ * is `queryDisc`'s visit order.
  *
  * Thread-compatibility contract (checked by the clang thread-safety
- * build, see support/thread_annotations.hh): all state is written in
- * the constructor and immutable afterwards, so no member needs a
- * COTERIE_GUARDED_BY — the partitioner constructs one instance per
- * pool task and never shares it across tasks. Any future mutable
- * memoization added here must bring its own annotated Mutex.
+ * build, see support/thread_annotations.hh): an instance is owned by
+ * one cutoff search on one thread — the partitioner constructs one per
+ * pool task and never shares it across tasks — so no member needs a
+ * COTERIE_GUARDED_BY. Sharing an instance across threads would need
+ * its own annotated Mutex (`retainWithin` writes).
  */
 class LocationCostCache
 {
@@ -85,18 +88,30 @@ class LocationCostCache
     /** Same value as the free `renderTimeMs` (rMax <= maxRadius). */
     double renderTimeMs(double rMin, double rMax) const;
 
+    /**
+     * Drop, in place and in order, every object outside the disc of
+     * @p radius (clamped to the cull distance). Queries with
+     * rMax <= radius keep returning the same bits: the dropped objects
+     * were outside their discs anyway. The cutoff search calls this
+     * each time its bisection lowers the upper bound.
+     */
+    void retainWithin(double radius);
+
+    /** Objects currently cached. */
+    std::size_t size() const { return objects_.size(); }
+
   private:
     struct CachedObject
     {
         double footprintDistSq; ///< queryDisc's AABB-footprint metric
         double centerDist;      ///< distance used by the LOD falloff
-        double triangles;
+        double weighted;        ///< triangles * lodWeight(centerDist)
     };
 
     const world::VirtualWorld &world_;
     geom::Vec2 eye_;
     CostModelParams params_;
-    std::vector<CachedObject> objects_; ///< in BVH traversal order
+    std::vector<CachedObject> objects_; ///< in BVH leaf-slot order
 };
 
 } // namespace coterie::render

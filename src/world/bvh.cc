@@ -66,18 +66,23 @@ Bvh::Bvh(const std::vector<WorldObject> &objects) : objects_(objects)
     nodes_.reserve(2 * items.size());
     items_.reserve(items.size());
     build(items, 0, items.size(), 0);
-    // Leaf-slot SoA mirror for the packet traversal (same order as
-    // items_, so a leaf's [rightOrFirst, rightOrFirst + count) range
-    // indexes both).
-    leaf_.shape.resize(items_.size());
-    leaf_.px.resize(items_.size());
-    leaf_.py.resize(items_.size());
-    leaf_.pz.resize(items_.size());
-    leaf_.dx.resize(items_.size());
-    leaf_.dy.resize(items_.size());
-    leaf_.dz.resize(items_.size());
-    for (std::size_t s = 0; s < items_.size(); ++s) {
+    // Leaf-slot SoA mirror for the packet traversal and footprint
+    // table for disc queries (same order as items_, so a leaf's
+    // [rightOrFirst, rightOrFirst + count) range indexes all three).
+    const std::size_t slots = items_.size();
+    for (auto *v : {&leaf_.px, &leaf_.py, &leaf_.pz, &leaf_.dx, &leaf_.dy,
+                    &leaf_.dz, &foot_.loX, &foot_.hiX, &foot_.loZ,
+                    &foot_.hiZ, &foot_.triangles})
+        v->resize(slots);
+    leaf_.shape.resize(slots);
+    for (std::size_t s = 0; s < slots; ++s) {
         const WorldObject &obj = objects_[items_[s]];
+        const Aabb box = obj.bounds();
+        foot_.loX[s] = box.lo.x;
+        foot_.hiX[s] = box.hi.x;
+        foot_.loZ[s] = box.lo.z;
+        foot_.hiZ[s] = box.hi.z;
+        foot_.triangles[s] = static_cast<double>(obj.triangles);
         leaf_.shape[s] = static_cast<std::uint8_t>(obj.shape);
         leaf_.px[s] = obj.position.x;
         leaf_.py[s] = obj.position.y;

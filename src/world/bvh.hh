@@ -29,6 +29,21 @@
 namespace coterie::world {
 
 /**
+ * Squared distance in the ground plane from @p c to the box
+ * [loX, hiX] x [loZ, hiZ]: the disc queries' membership metric, shared
+ * by `Bvh::queryDisc` and the cost model so both test membership with
+ * the same bits.
+ */
+inline double
+footprintDistSq(geom::Vec2 c, double loX, double hiX, double loZ,
+                double hiZ)
+{
+    const double dx = std::max({loX - c.x, 0.0, c.x - hiX});
+    const double dz = std::max({loZ - c.y, 0.0, c.y - hiZ});
+    return dx * dx + dz * dz;
+}
+
+/**
  * Static BVH. Leaves hold small runs of object indices; inner nodes are
  * laid out in a flat depth-first array (left child implicit at +1),
  * friendly to iterative traversal.
@@ -75,6 +90,29 @@ class Bvh
     /** Ids of objects whose AABB intersects the XZ disc (cylinder). */
     std::vector<std::uint32_t> queryDisc(geom::Vec2 center,
                                          double radius) const;
+
+    /**
+     * The footprint table, one entry per leaf slot. Slots are in the
+     * order `queryDisc` visits objects: leaves are emitted depth-first,
+     * each owns a contiguous run of slots, and an object's box lies
+     * inside every ancestor's box. So the slots passing
+     * `slotFootprintDistSq(s, c) <= r * r`, scanned in order, are
+     * exactly `queryDisc(c, r)` in its visit order.
+     */
+    std::size_t slotCount() const { return items_.size(); }
+    std::uint32_t slotObject(std::size_t s) const { return items_[s]; }
+    double
+    slotFootprintDistSq(std::size_t s, geom::Vec2 c) const
+    {
+        return footprintDistSq(c, foot_.loX[s], foot_.hiX[s], foot_.loZ[s],
+                               foot_.hiZ[s]);
+    }
+    /** Ground-plane footprint centre (`WorldObject::footprint`). */
+    geom::Vec2 slotCenter(std::size_t s) const
+    {
+        return {leaf_.px[s], leaf_.pz[s]};
+    }
+    double slotTriangles(std::size_t s) const { return foot_.triangles[s]; }
 
     std::size_t nodeCount() const { return nodes_.size(); }
 
@@ -138,6 +176,17 @@ class Bvh
         std::vector<double> dx, dy, dz;
     };
     LeafSoa leaf_;
+    /**
+     * Ground footprint per leaf slot: the XZ extent of the object's
+     * bounds and its triangle count, so disc queries and the cost
+     * model never rebuild `WorldObject::bounds()`.
+     */
+    struct FootprintTable
+    {
+        std::vector<double> loX, hiX, loZ, hiZ;
+        std::vector<double> triangles;
+    };
+    FootprintTable foot_;
 };
 
 template <typename Fn>
@@ -147,27 +196,21 @@ Bvh::queryDisc(geom::Vec2 center, double radius, Fn &&fn) const
     if (nodes_.empty())
         return;
     const double r2 = radius * radius;
-    // Squared distance from the disc center to a box footprint in XZ.
-    const auto footprintDistSq = [&](const geom::Aabb &box) {
-        const double dx =
-            std::max({box.lo.x - center.x, 0.0, center.x - box.hi.x});
-        const double dz =
-            std::max({box.lo.z - center.y, 0.0, center.y - box.hi.z});
-        return dx * dx + dz * dz;
-    };
     std::array<std::int32_t, 128> stack;
     int sp = 0;
     std::int32_t idx = 0;
     for (;;) {
         const Node &node = nodes_[idx];
-        if (footprintDistSq(node.box) <= r2) {
+        if (footprintDistSq(center, node.box.lo.x, node.box.hi.x,
+                            node.box.lo.z, node.box.hi.z) <= r2) {
             if (node.count > 0) {
-                for (std::int32_t i = 0; i < node.count; ++i) {
-                    const std::uint32_t obj_id =
-                        items_[static_cast<std::size_t>(node.rightOrFirst +
-                                                        i)];
-                    if (footprintDistSq(objects_[obj_id].bounds()) <= r2)
-                        fn(obj_id);
+                const auto first =
+                    static_cast<std::size_t>(node.rightOrFirst);
+                const std::size_t end =
+                    first + static_cast<std::size_t>(node.count);
+                for (std::size_t s = first; s < end; ++s) {
+                    if (slotFootprintDistSq(s, center) <= r2)
+                        fn(items_[s]);
                 }
             } else {
                 stack[static_cast<std::size_t>(sp++)] = node.rightOrFirst;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "geom/intersect.hh"
@@ -153,6 +155,65 @@ TEST_P(BvhProperty, DiscQueryMatchesBruteForce)
         }
         EXPECT_EQ(got, expected);
     }
+}
+
+/**
+ * The footprint table the cost model scans: its slots are a permutation
+ * of the objects carrying each object's own footprint centre and
+ * triangles, and `queryDisc` visits exactly the objects whose
+ * `bounds()` footprint lies within the disc, in leaf-slot order. Radii
+ * include each tested object's own footprint distance, so the `<=`
+ * edge is hit.
+ */
+TEST_P(BvhProperty, DiscQueryVisitsBoundsFilteredSlotsInOrder)
+{
+    auto objects = randomObjects(300, GetParam() ^ 0x51a7);
+    for (WorldObject &obj : objects)
+        obj.triangles = 100 + obj.id * 7;
+    const Bvh bvh(objects);
+    ASSERT_EQ(bvh.slotCount(), objects.size());
+    std::vector<int> seen(objects.size(), 0);
+    for (std::size_t s = 0; s < bvh.slotCount(); ++s) {
+        const WorldObject &obj = objects[bvh.slotObject(s)];
+        ++seen[obj.id];
+        EXPECT_EQ(bvh.slotCenter(s), obj.footprint());
+        EXPECT_EQ(bvh.slotTriangles(s), static_cast<double>(obj.triangles));
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(objects.size()));
+
+    const auto boundsDistSq = [](const WorldObject &obj, Vec2 c) {
+        const Aabb b = obj.bounds();
+        return footprintDistSq(c, b.lo.x, b.hi.x, b.lo.z, b.hi.z);
+    };
+    Rng rng(GetParam() ^ 0x0dd);
+    int edges = 0;
+    for (int i = 0; i < 120; ++i) {
+        const Vec2 center{rng.uniform(-70, 70), rng.uniform(-70, 70)};
+        const auto &probe =
+            objects[static_cast<std::size_t>(rng.uniformInt(0, 299))];
+        const double edge = std::sqrt(boundsDistSq(probe, center));
+        for (const double radius :
+             {rng.uniform(0.5, 60.0), edge, std::nextafter(edge, 0.0),
+              std::nextafter(edge, 1e9)}) {
+            const double r2 = radius * radius;
+            edges += r2 == boundsDistSq(probe, center);
+            std::vector<std::uint32_t> expected;
+            for (std::size_t s = 0; s < bvh.slotCount(); ++s) {
+                const WorldObject &obj = objects[bvh.slotObject(s)];
+                EXPECT_EQ(bvh.slotFootprintDistSq(s, center),
+                          boundsDistSq(obj, center));
+                if (boundsDistSq(obj, center) <= r2)
+                    expected.push_back(obj.id);
+            }
+            std::vector<std::uint32_t> got;
+            bvh.queryDisc(center, radius,
+                          [&](std::uint32_t id) { got.push_back(id); });
+            EXPECT_EQ(got, expected) << "radius " << radius;
+        }
+    }
+    // Some radius landed exactly on a footprint distance.
+    EXPECT_GT(edges, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BvhProperty,

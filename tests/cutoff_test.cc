@@ -2,12 +2,17 @@
  * @file
  * Tests for Constraint 1 and the per-location maximal cutoff search:
  * the returned radius satisfies the budget, is maximal up to the search
- * tolerance, shrinks with object density, and respects bounds.
+ * tolerance, shrinks with object density, respects bounds, and
+ * matches an uncached bisection bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/cutoff.hh"
+#include "obs/metrics.hh"
 #include "world/gen/track.hh"
 #include "world/gen/generators.hh"
 
@@ -128,6 +133,76 @@ TEST(Cutoff, TighterBudgetShrinksRadius)
     const Vec2 eye = world.bounds().center();
     EXPECT_LE(maxCutoffRadius(world, eye, profile, tight),
               maxCutoffRadius(world, eye, profile, generous));
+}
+
+/**
+ * The search against an uncached bisection over the free cost function
+ * (`nearBeRenderTimeMs`, which re-queries the BVH per probe): the same
+ * radius bit for bit, through all three exits (floor, ceiling,
+ * bisection), and cost counters whose per-search totals are one cache
+ * build and one cache query per probe.
+ */
+TEST(Cutoff, SearchMatchesUncachedBisectionAndCountsProbes)
+{
+    const auto &profile = device::pixel2();
+    CutoffConstraint floor; // even minRadius violates
+    floor.rtFiMs = 16.0;
+    floor.utilizationTarget = 0.2;
+    CutoffConstraint ceiling; // a low ceiling that sparse spots meet
+    ceiling.maxRadius = 4.0;
+    std::uint64_t exits[3] = {0, 0, 0};
+    for (const GameId game : {GameId::Viking, GameId::Racing}) {
+        const auto world = makeWorld(game, 42);
+        const geom::Rect &b = world.bounds();
+        for (const Vec2 eye : {b.center(), b.lo, b.center() + Vec2{31, -17},
+                               Vec2{b.lo.x + 0.3 * b.width(), b.hi.y}}) {
+            for (const CutoffConstraint &c :
+                 {CutoffConstraint{}, floor, ceiling}) {
+                std::uint64_t probes = 0;
+                const auto timeAtMs = [&](double r) {
+                    ++probes;
+                    return nearBeRenderTimeMs(world, eye, r, profile);
+                };
+                const double budget = c.nearBudgetMs();
+                const double hiLimit =
+                    std::min(c.maxRadius, std::hypot(b.width(), b.height()));
+                double expected;
+                if (timeAtMs(c.minRadius) >= budget) {
+                    expected = c.minRadius;
+                } else if (timeAtMs(hiLimit) < budget) {
+                    expected = hiLimit;
+                } else {
+                    double lo = c.minRadius, hi = hiLimit;
+                    while (hi - lo > 0.25) {
+                        const double mid = 0.5 * (lo + hi);
+                        (timeAtMs(mid) < budget ? lo : hi) = mid;
+                    }
+                    expected = lo;
+                }
+                ++exits[std::min<std::uint64_t>(probes, 3) - 1];
+
+                auto &registry = obs::MetricsRegistry::global();
+                obs::Counter &queries =
+                    registry.counter("cost.location_cache_queries");
+                obs::Counter &builds =
+                    registry.counter("cost.location_cache_builds");
+                const std::uint64_t queries0 = queries.value();
+                const std::uint64_t builds0 = builds.value();
+                EXPECT_EQ(maxCutoffRadius(world, eye, profile, c), expected)
+                    << "eye (" << eye.x << ", " << eye.y << ")";
+#if COTERIE_TELEMETRY_ENABLED
+                EXPECT_EQ(queries.value() - queries0, probes);
+                EXPECT_EQ(builds.value() - builds0, 1u);
+#else
+                (void)queries0;
+                (void)builds0;
+#endif
+            }
+        }
+    }
+    EXPECT_GT(exits[0], 0u); // floor
+    EXPECT_GT(exits[1], 0u); // ceiling
+    EXPECT_GT(exits[2], 0u); // bisection
 }
 
 TEST(CutoffDeath, ImpossibleBudgetPanics)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -200,18 +201,69 @@ TEST(ParallelPipeline, PartitionLeavesIdenticalSerialVsPool)
     }
 }
 
+/**
+ * The cost cache against the free function it memoizes, bit for bit:
+ * eyes at the centre of, on a corner of and outside each world; whole
+ * discs and annuli; radii placed on objects' footprint distances (the
+ * membership `<=` edge, with both neighbours) and inner radii on their
+ * centre distances (the annulus edge); and every query again after each
+ * in-place compaction a bisection would make.
+ */
 TEST(ParallelPipeline, CutoffCostCacheMatchesFreeFunctionBitExact)
 {
-    const auto world =
-        world::gen::makeWorld(world::gen::GameId::Pool, 42);
-    const geom::Vec2 eye = world.bounds().center();
+    using world::gen::GameId;
     const render::CostModelParams params;
-    const render::LocationCostCache cache(world, eye, 200.0, params);
-    for (double r : {0.5, 1.0, 3.7, 12.0, 48.5, 120.0, 200.0}) {
-        EXPECT_EQ(cache.renderTimeMs(0.0, r),
-                  render::renderTimeMs(world, eye, 0.0, r, params))
-            << "radius " << r;
+    int edges = 0;
+    for (const GameId game : {GameId::Pool, GameId::Viking, GameId::CTS}) {
+        const auto world = world::gen::makeWorld(game, 42);
+        const world::Bvh &bvh = world.bvh();
+        const geom::Rect &b = world.bounds();
+        for (const geom::Vec2 eye :
+             {b.center(), b.lo, b.hi + geom::Vec2{25.0, 40.0}}) {
+            std::vector<double> radii{0.5, 3.7, 12.0, 48.5, 120.0, 200.0};
+            std::vector<double> inner{0.0, 2.5, 30.0};
+            for (std::size_t s = 0; s < bvh.slotCount();
+                 s += bvh.slotCount() / 5 + 1) {
+                const double distSq = bvh.slotFootprintDistSq(s, eye);
+                const double edge = std::sqrt(distSq);
+                for (const double r : {std::nextafter(edge, 0.0), edge,
+                                       std::nextafter(edge, 1e9)}) {
+                    radii.push_back(r);
+                    edges += r * r == distSq;
+                }
+                inner.push_back(bvh.slotCenter(s).distance(eye));
+            }
+            render::LocationCostCache cache(world, eye, 200.0, params);
+            const auto expectMatches = [&](double bound) {
+                for (const double rMin : inner) {
+                    for (const double r : radii) {
+                        if (r > bound)
+                            continue;
+                        EXPECT_EQ(cache.renderTimeMs(rMin, r),
+                                  render::renderTimeMs(world, eye, rMin, r,
+                                                       params))
+                            << world::gen::gameInfo(game).name << " eye ("
+                            << eye.x << ", " << eye.y << ") annulus ["
+                            << rMin << ", " << r << "] bound " << bound;
+                    }
+                }
+            };
+            expectMatches(200.0);
+            // Compact down through every radius, edges included, as a
+            // bisection lowering its upper bound would.
+            std::sort(radii.begin(), radii.end(), std::greater<>());
+            const std::size_t full = cache.size();
+            for (const double hi : radii) {
+                if (hi > 200.0)
+                    continue; // beyond the cache's reach
+                cache.retainWithin(hi);
+                expectMatches(hi);
+            }
+            EXPECT_LT(cache.size(), full);
+        }
     }
+    // Some radius landed exactly on a footprint distance.
+    EXPECT_GT(edges, 0);
 }
 
 TEST(ParallelPipeline, ServerPrerenderDeterministicSerialVsPool)

@@ -3,10 +3,13 @@
  * Tests for the adaptive quadtree partitioner: leaves tile the world
  * exactly, cutoffs are conservative, the region index locates points
  * correctly, reachability-restricted sampling, Constraint-1 violation
- * rates (the Figure 6 property), and depth bounds.
+ * rates (the Figure 6 property), depth bounds, and golden leaf digests.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 #include "core/partitioner.hh"
 #include "support/rng.hh"
@@ -204,6 +207,86 @@ TEST(Partitioner, ModeledHoursWithinPaperOrder)
     const PartitionResult result = partitionViking();
     EXPECT_GT(result.modeledHours, 0.05);
     EXPECT_LT(result.modeledHours, 24.0);
+}
+
+/** FNV-1a over the little-endian bytes of @p bits, folded into @p h. */
+void
+foldBits(std::uint64_t &h, std::uint64_t bits)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+    }
+}
+
+void
+foldDouble(std::uint64_t &h, double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    foldBits(h, bits);
+}
+
+/** Digest of every leaf's identity, rect, cutoff, density and
+ *  reachability, plus the sample count. */
+std::uint64_t
+leafDigest(const PartitionResult &result)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const LeafRegion &leaf : result.leaves) {
+        foldBits(h, leaf.id);
+        foldBits(h, static_cast<std::uint64_t>(leaf.depth));
+        foldDouble(h, leaf.rect.lo.x);
+        foldDouble(h, leaf.rect.lo.y);
+        foldDouble(h, leaf.rect.hi.x);
+        foldDouble(h, leaf.rect.hi.y);
+        foldDouble(h, leaf.cutoffRadius);
+        foldDouble(h, leaf.triangleDensity);
+        foldBits(h, leaf.reachable ? 1u : 0u);
+    }
+    foldBits(h, result.cutoffCalculations);
+    return h;
+}
+
+TEST(Partitioner, LeavesMatchRecordedGolden)
+{
+    // The leaves a session builds (its seed derivation and reachability
+    // sampler; Racing exercises the rejection-sampling fallback), pinned
+    // to digests recorded before the cutoff search read the BVH's
+    // footprint table. Serial and pooled runs must both match.
+    struct Golden
+    {
+        GameId game;
+        std::size_t leaves;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {GameId::Viking, 1417, 0x2eda81cb87b738bbull},
+        {GameId::CTS, 1027, 0x16ca1490ffd376bbull},
+        {GameId::Racing, 763, 0x85e682818bac2c56ull},
+    };
+    for (const Golden &g : goldens) {
+        const auto world = makeWorld(g.game, 42);
+        PartitionParams params;
+        params.seed = hashCombine(42, 0x9a97);
+        params.reachable = world::gen::makeReachability(gameInfo(g.game),
+                                                        world);
+        for (const int threads : {1, 0}) {
+            params.threads = threads;
+            const auto result =
+                partitionWorld(world, device::pixel2(), params);
+            EXPECT_EQ(result.leaves.size(), g.leaves)
+                << gameInfo(g.game).name << " threads " << threads;
+            EXPECT_EQ(leafDigest(result), g.digest)
+                << gameInfo(g.game).name << " threads " << threads;
+            if (g.game == GameId::Racing) {
+                // Off-track regions fell back to unrestricted samples.
+                EXPECT_TRUE(std::any_of(
+                    result.leaves.begin(), result.leaves.end(),
+                    [](const LeafRegion &l) { return !l.reachable; }));
+            }
+        }
+    }
 }
 
 } // namespace

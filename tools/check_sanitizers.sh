@@ -23,10 +23,13 @@ SANITIZERS=(thread address undefined)
 # resolves ON whenever COTERIE_SANITIZE is set, so the runtime
 # lock-order validator's death tests actually fire here. chaos_test
 # drives the disconnect, retry and quarantine paths that retire frame
-# trace records while contexts still hold their ids.
+# trace records while contexts still hold their ids. partitioner_test,
+# cutoff_test and cost_model_test cover the BVH footprint table and the
+# cost cache's in-place compaction under the pooled partition.
 TEST_BINS=(parallel_test renderer_test ssim_test codec_test obs_test
            frame_trace_test bvh_test terrain_test pano_cache_test
-           lock_order_test event_queue_test fleet_test chaos_test)
+           lock_order_test event_queue_test fleet_test chaos_test
+           partitioner_test cutoff_test cost_model_test)
 PREFIX=""
 
 while [ $# -gt 0 ]; do
