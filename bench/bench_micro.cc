@@ -199,12 +199,12 @@ BM_CacheLookup(benchmark::State &state)
 }
 BENCHMARK(BM_CacheLookup);
 
-/** Quadtree partition wall time; arg 1 = serial, 0 = shared pool. */
+/** Viking quadtree partition (the deepest tree) wall time; arg 1 =
+ *  serial, 0 = shared pool. */
 void
 BM_PartitionWorld(benchmark::State &state)
 {
-    const auto world =
-        world::gen::makeWorld(world::gen::GameId::Pool, 42);
+    const auto &world = vikingWorld();
     core::PartitionParams params;
     params.threads = static_cast<int>(state.range(0));
     for (auto _ : state) {

@@ -13,10 +13,12 @@
 #include <memory>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <vector>
 
 #include "core/session.hh"
 #include "obs/json.hh"
+#include "support/parallel.hh"
 
 namespace coterie::bench {
 
@@ -60,12 +62,24 @@ compare(const char *label, double paper, double measured,
  * the working-directory `BENCH_<name>.json`. Every bench that emits
  * machine-readable numbers goes through here so the two locations
  * (archival under results/, driver pickup at the root) never drift.
+ * The document is stamped with the machine it ran on — hardware
+ * concurrency and the shared pool's lane count — since wall-clock
+ * numbers only compare between runs on the same machine.
  */
 inline void
 writeBenchJson(const std::string &name, const obs::Json &doc)
 {
+    obs::Json stamped = obs::Json::object();
+    stamped.set("hardware_concurrency",
+                obs::Json(static_cast<std::uint64_t>(
+                    std::thread::hardware_concurrency())));
+    stamped.set("pool_lanes",
+                obs::Json(support::ThreadPool::instance().concurrency()));
+    for (const auto &[key, value] : doc.members())
+        stamped.set(key, value);
+
     ::mkdir("results", 0755);
-    const std::string text = doc.dump(2) + "\n";
+    const std::string text = stamped.dump(2) + "\n";
     const std::string paths[] = {"results/BENCH_" + name + ".json",
                                  "BENCH_" + name + ".json"};
     for (const std::string &path : paths) {

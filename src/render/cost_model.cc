@@ -19,11 +19,6 @@ lodWeight(double distance, const CostModelParams &params)
     return 1.0 / (1.0 + ratio * ratio);
 }
 
-/**
- * Terrain triangles in the annulus with LOD falloff:
- * integral of 2*pi*r * rho * w(r) dr over [rMin, rMax]
- *   = pi * rho * lod^2 * ln((1 + (rMax/lod)^2) / (1 + (rMin/lod)^2)).
- */
 /** Distance from @p eye to the farthest corner of the world bounds —
  *  terrain does not extend past the world, so neither does its cost. */
 double
@@ -38,15 +33,20 @@ worldReach(const world::VirtualWorld &world, Vec2 eye)
     return reach;
 }
 
+/**
+ * Terrain triangles in the annulus with LOD falloff, clipped at
+ * @p reach = worldReach(world, eye):
+ * integral of 2*pi*r * rho * w(r) dr over [rMin, rMax]
+ *   = pi * rho * lod^2 * ln((1 + (rMax/lod)^2) / (1 + (rMin/lod)^2)).
+ */
 double
-terrainEffectiveTriangles(const world::VirtualWorld &world, Vec2 eye,
+terrainEffectiveTriangles(const world::VirtualWorld &world, double reach,
                           double rMin, double rMax,
                           const CostModelParams &params)
 {
     const double rho = world.terrain().params().trianglesPerM2;
     const double lod = params.lodDistance;
-    const double hi =
-        std::min({rMax, params.cullDistance, worldReach(world, eye)});
+    const double hi = std::min({rMax, params.cullDistance, reach});
     if (hi <= rMin)
         return 0.0;
     const double a = 1.0 + (hi / lod) * (hi / lod);
@@ -61,8 +61,8 @@ effectiveTriangles(const world::VirtualWorld &world, Vec2 eye, double rMin,
                    double rMax, const CostModelParams &params)
 {
     const double reach = std::min(rMax, params.cullDistance);
-    double total =
-        terrainEffectiveTriangles(world, eye, rMin, rMax, params);
+    double total = terrainEffectiveTriangles(world, worldReach(world, eye),
+                                             rMin, rMax, params);
     if (reach > rMin) {
         // Callback disc query: BVH traversal order, no id-vector
         // allocation. LocationCostCache replays the same order, which
@@ -92,7 +92,7 @@ renderTimeMs(const world::VirtualWorld &world, Vec2 eye, double rMin,
 LocationCostCache::LocationCostCache(const world::VirtualWorld &world,
                                      Vec2 eye, double maxRadius,
                                      const CostModelParams &params)
-    : world_(world), eye_(eye), params_(params)
+    : world_(world), worldReach_(worldReach(world, eye)), params_(params)
 {
     COTERIE_COUNT("cost.location_cache_builds");
     const double maxReach = std::min(maxRadius, params.cullDistance);
@@ -120,7 +120,7 @@ LocationCostCache::effectiveTriangles(double rMin, double rMax) const
 {
     const double reach = std::min(rMax, params_.cullDistance);
     double total =
-        terrainEffectiveTriangles(world_, eye_, rMin, rMax, params_);
+        terrainEffectiveTriangles(world_, worldReach_, rMin, rMax, params_);
     if (reach > rMin) {
         const double r2 = reach * reach;
         for (const CachedObject &obj : objects_) {

@@ -109,7 +109,7 @@ class LocationCostCache
     };
 
     const world::VirtualWorld &world_;
-    geom::Vec2 eye_;
+    double worldReach_; ///< eye to the farthest world corner, fixed
     CostModelParams params_;
     std::vector<CachedObject> objects_; ///< in BVH leaf-slot order
 };
