@@ -166,9 +166,8 @@ runSweepPoint(int sessions, int players, const Mode &mode)
     point.avgFps = fps / static_cast<double>(fleet.sessions.size());
     point.p99LatencyMs = latencies.empty() ? 0.0 : latencies.percentile(99);
     point.renders = fleet.panoCache.misses;
-    const double served = static_cast<double>(
-        fleet.panoCache.hits + fleet.panoCache.misses +
-        fleet.panoCache.inflightJoins);
+    const double served =
+        static_cast<double>(fleet.panoCache.hits + fleet.panoCache.misses);
     point.hitRatio =
         served > 0.0 ? (served - static_cast<double>(fleet.panoCache.misses)) /
                            served

@@ -14,8 +14,10 @@
  *
  * Flags:
  *   --smoke   tiny resolutions / single rep (CI perf-smoke job)
- *   --check   exit non-zero if the batched and reference frames differ
- *             or the batched frames are slower than the reference
+ *   --check   exit non-zero if the batched and reference frames differ,
+ *             the batched frames are slower than the reference, or the
+ *             8-client scenario's cache counts are not 4 renders and
+ *             4 hits
  *   --stages  re-run the stage breakdown with full reps and print a
  *             per-world table
  *
@@ -220,10 +222,17 @@ framesAgree(const world::VirtualWorld &world)
 
 /**
  * 8-client far-BE scenario: four position pairs, each pair inside one
- * quantization cell, fanned out over the pool — measures how many
- * actual renders the pano cache performs and its hit ratio.
+ * quantization cell, resolved as one pano-cache batch — how many
+ * actual renders the cache performs and its hit ratio. The counts are
+ * deterministic: 4 renders, 4 hits, hit ratio 0.5.
  */
-obs::Json
+struct PanoCacheScenario
+{
+    obs::Json json;
+    bool countsMatch = false;
+};
+
+PanoCacheScenario
 panoCacheScenario(const world::VirtualWorld &world, int width, int height)
 {
     const world::GridMap grid =
@@ -243,40 +252,30 @@ panoCacheScenario(const world::VirtualWorld &world, int width, int height)
         clients.push_back({cx + 0.4 * pitch, cy + 0.4 * pitch});
     }
 
-    const double wall_s = seconds([&] {
-        support::parallelFor(
-            0, static_cast<std::int64_t>(clients.size()), 1,
-            [&](std::int64_t s, std::int64_t e) {
-                for (std::int64_t i = s; i < e; ++i)
-                    frames.farBePanorama(
-                        clients[static_cast<std::size_t>(i)], thresh,
-                        width, height);
-            },
-            4);
-    });
+    const double wall_s = seconds(
+        [&] { frames.farBePanorama(clients, thresh, width, height); });
 
     const core::PanoCacheStats stats = frames.panoCacheStats();
-    const double served =
-        static_cast<double>(stats.hits + stats.misses + stats.inflightJoins);
-    obs::Json out = obs::Json::object();
-    out.set("clients",
-            obs::Json(static_cast<std::uint64_t>(clients.size())));
-    out.set("renders", obs::Json(stats.misses));
-    out.set("hits", obs::Json(stats.hits));
-    out.set("inflight_joins", obs::Json(stats.inflightJoins));
-    out.set("hit_ratio",
-            obs::Json(served > 0.0
-                          ? (served - stats.misses) / served
-                          : 0.0));
-    out.set("renders_per_frame",
-            obs::Json(static_cast<double>(stats.misses) /
-                      static_cast<double>(clients.size())));
-    out.set("wall_s", obs::Json(wall_s));
+    const double served = static_cast<double>(stats.hits + stats.misses);
+    const double hitRatio = served > 0.0 ? stats.hits / served : 0.0;
+    PanoCacheScenario out;
+    out.countsMatch =
+        stats.misses == 4 && stats.hits == 4 && hitRatio == 0.5;
+    out.json = obs::Json::object();
+    out.json.set("clients",
+                 obs::Json(static_cast<std::uint64_t>(clients.size())));
+    out.json.set("renders", obs::Json(stats.misses));
+    out.json.set("hits", obs::Json(stats.hits));
+    out.json.set("hit_ratio", obs::Json(hitRatio));
+    out.json.set("renders_per_frame",
+                 obs::Json(static_cast<double>(stats.misses) /
+                           static_cast<double>(clients.size())));
+    out.json.set("wall_s", obs::Json(wall_s));
     std::printf("  pano-cache: %zu clients -> %llu renders "
                 "(%.0f%% cache-served), %.2f renders/frame\n",
                 clients.size(),
                 static_cast<unsigned long long>(stats.misses),
-                100.0 * (served - stats.misses) / served,
+                100.0 * hitRatio,
                 static_cast<double>(stats.misses) / clients.size());
     return out;
 }
@@ -378,8 +377,8 @@ main(int argc, char **argv)
 
     std::printf("\n  8-client far-BE de-dup (viking)\n");
     world::VirtualWorld viking = world::gen::makeWorld(GameId::Viking, 42);
-    obs::Json cache = panoCacheScenario(viking, smoke ? 64 : 192,
-                                        smoke ? 32 : 96);
+    PanoCacheScenario cache = panoCacheScenario(viking, smoke ? 64 : 192,
+                                                smoke ? 32 : 96);
 
     obs::Json doc = obs::Json::object();
     doc.set("smoke", obs::Json(smoke));
@@ -387,7 +386,7 @@ main(int argc, char **argv)
     doc.set("pano_h", obs::Json(static_cast<std::uint64_t>(pano_h)));
     doc.set("reps", obs::Json(static_cast<std::uint64_t>(reps)));
     doc.set("worlds", std::move(worlds));
-    doc.set("pano_cache", std::move(cache));
+    doc.set("pano_cache", std::move(cache.json));
     doc.set("total_pano_ms_seed", obs::Json(total_seed_ms));
     doc.set("total_pano_ms_packet", obs::Json(total_packet_ms));
     doc.set("total_pano_speedup_vs_seed",
@@ -411,6 +410,12 @@ main(int argc, char **argv)
         if (total_packet_ms > 1.10 * total_seed_ms) {
             std::printf("  CHECK FAILED: packet pipeline slower than "
                         "the per-ray reference\n");
+            return 1;
+        }
+        if (!cache.countsMatch) {
+            std::printf("  CHECK FAILED: the 8-client pano-cache batch "
+                        "must cost 4 renders and 4 hits (hit ratio "
+                        "0.5)\n");
             return 1;
         }
     }

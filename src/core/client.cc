@@ -122,6 +122,7 @@ struct SplitSystemRun::Impl
     void onDelivered(ClientState &c, const FrameCache::Key &key,
                      TimeMs issued, std::uint64_t deliveredKey, TimeMs at);
     void onFailed(ClientState &c, std::uint64_t failedKey);
+    void resetPipe(ClientState &c, TimeMs now);
     void requestFrame(ClientState &c, const FrameCache::Key &key,
                       bool urgent = false);
     void display(int pid, double frameTime, double latency, double render,
@@ -425,6 +426,29 @@ SplitSystemRun::Impl::pump(ClientState &c)
     }
 }
 
+// Drop the client's link state (WLAN disconnect, quarantine): every
+// in-flight fetch aborts, the request pipe clears, and a stall in
+// progress is abandoned.
+void
+SplitSystemRun::Impl::resetPipe(ClientState &c, TimeMs now)
+{
+    if (c.fetcher)
+        c.fetcher->cancelAll();
+    // Cancelled fetches never call back: retire their causal records
+    // unscored.
+    for (auto &[fk, ft] : c.fetchTraces)
+        tracer.abort(ft.ctx);
+    c.fetchTraces.clear();
+    c.pipe.clear();
+    c.requested.clear();
+    c.wireBusy = false;
+    if (c.stalled) {
+        // The abandoned stall's frozen time still counts.
+        c.stallMs += now - c.stallStart;
+        c.stalled = false;
+    }
+}
+
 // Enqueue a frame request; @p urgent puts it at the head of the
 // pipe (a stalled display needs it before speculative prefetches).
 void
@@ -546,27 +570,11 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
 
     if (faults != nullptr && faults->disconnected(pid, now)) {
         if (c.connected) {
-            // Scripted WLAN drop: the association resets — every
-            // in-flight fetch aborts, the request pipe clears, a
-            // stall in progress is abandoned.
+            // Scripted WLAN drop: the association resets.
             c.connected = false;
             ++c.disconnects;
             COTERIE_COUNT("client.disconnects");
-            if (c.fetcher)
-                c.fetcher->cancelAll();
-            // Cancelled fetches never call back: retire their causal
-            // records unscored.
-            for (auto &[fk, ft] : c.fetchTraces)
-                tracer.abort(ft.ctx);
-            c.fetchTraces.clear();
-            c.pipe.clear();
-            c.requested.clear();
-            c.wireBusy = false;
-            if (c.stalled) {
-                // The abandoned stall's frozen time still counts.
-                c.stallMs += now - c.stallStart;
-                c.stalled = false;
-            }
+            resetPipe(c, now);
         }
         const TimeMs rejoin = faults->reconnectsAt(pid, now);
         // scheduleFrame revalidates via `stopped` on wake.
@@ -787,20 +795,8 @@ SplitSystemRun::Impl::quarantineAt(TimeMs now)
         return;
     isQuarantined = true;
     stopped = true;
-    for (ClientState &c : clients) {
-        if (c.fetcher)
-            c.fetcher->cancelAll();
-        for (auto &[fk, ft] : c.fetchTraces)
-            tracer.abort(ft.ctx);
-        c.fetchTraces.clear();
-        c.pipe.clear();
-        c.requested.clear();
-        c.wireBusy = false;
-        if (c.stalled) {
-            c.stallMs += now - c.stallStart;
-            c.stalled = false;
-        }
-    }
+    for (ClientState &c : clients)
+        resetPipe(c, now);
     // Freeze the SLO label: publish the summary as of the quarantine
     // instant — later events in sibling sessions can no longer move it.
     if (!tracerFinished) {

@@ -201,8 +201,7 @@ class SplitSystemRun
      * Quarantine the session at the current sim time: cancel every
      * outstanding fetch (`ResilientFetcher::cancelAll`), abort live
      * causal records, stop the frame loops, and freeze the SLO label
-     * by publishing the tracer summary now. Idempotent. The caller
-     * (manager) releases the session's pano-cache claims.
+     * by publishing the tracer summary now. Idempotent.
      */
     void quarantine();
 

@@ -10,7 +10,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
-#include "support/parallel.hh"
 #include "support/rng.hh"
 #include "trace/trajectory.hh"
 
@@ -67,6 +66,21 @@ struct SessionManager::SessionState
      *  only by this session's lane, drained (and cleared) at every
      *  barrier, so growth is bounded by one round's deliveries. */
     std::vector<std::uint64_t> pendingRenders;
+
+    /** The far-BE lookup a renderOnFetch delivery of @p gridKey
+     *  renders. */
+    FrameStore::FarBeLookup
+    renderLookup(std::uint64_t gridKey) const
+    {
+        const world::GridMap &grid = spec.base->grid();
+        const auto cols = static_cast<std::uint64_t>(grid.cols());
+        const world::GridPoint g{static_cast<std::int64_t>(gridKey % cols),
+                                 static_cast<std::int64_t>(gridKey / cols)};
+        return spec.base->frames().farBeLookup(grid.position(g),
+                                               /*distThresh=*/0.0,
+                                               spec.renderWidth,
+                                               spec.renderHeight);
+    }
 };
 
 SessionManager::SessionManager(FleetCapacity capacity,
@@ -280,11 +294,6 @@ SessionManager::finalizeSession(SessionState &s, SessionPhase phase,
     // the barrier the confinement was deferred to — the report's
     // timeline records when the fault happened.
     s.finishedAtMs = finishedAt;
-    // Fault isolation invariant: a departing session leaves nothing
-    // pinned in the shared cache — in-flight claims are withdrawn so
-    // sibling waiters take over, completed entries stay (they are
-    // world-keyed shareable data, charged to this id until evicted).
-    panoCache_->releaseClaims(s.id);
     --runningSessions_;
     runningClients_ -= s.players;
     runningLoadMsPerS_ -= s.loadMsPerS;
@@ -439,55 +448,36 @@ SessionManager::onFrameFetched(std::uint32_t session,
 void
 SessionManager::drainRenderBatch()
 {
-    // Phase A — serial cache decisions in (lane id, delivery order):
-    // the deterministic merge order. First request for an absent key
-    // claims the render (the miss, charged to that session); every
-    // later request of the same key in the batch is a hit, exactly as
-    // if the renders had completed synchronously in that order.
-    struct Claimed
-    {
-        const Session *base;
-        FrameStore::FarBeLookup lookup;
-        std::uint64_t token;
-    };
-    std::vector<Claimed> claimed;
-    for (const auto &sp : sessions_) {
-        SessionState &s = *sp;
-        if (s.pendingRenders.empty())
-            continue;
-        const world::GridMap &grid = s.spec.base->grid();
-        const auto cols = static_cast<std::uint64_t>(grid.cols());
-        for (const std::uint64_t gridKey : s.pendingRenders) {
-            const world::GridPoint g{
-                static_cast<std::int64_t>(gridKey % cols),
-                static_cast<std::int64_t>(gridKey / cols)};
-            FrameStore::FarBeLookup lookup =
-                s.spec.base->frames().farBeLookup(
-                    grid.position(g), /*distThresh=*/0.0,
-                    s.spec.renderWidth, s.spec.renderHeight);
-            if (const auto token = panoCache_->batchLookupOrClaim(
-                    lookup.key, s.id)) {
-                claimed.push_back(Claimed{s.spec.base, lookup, *token});
-            }
-        }
-        s.pendingRenders.clear();
-    }
-    if (claimed.empty())
+    // One cache batch in (lane id, delivery order): the deterministic
+    // merge order. The first request for an absent key is the miss
+    // charged to its session; later requests of the same key in the
+    // batch are hits, exactly as if the renders had completed
+    // synchronously in that order. Only the renders fan out over the
+    // pool; this is where the fleet's dominant compute runs N-wide.
+    // No allocation unless some session has pending renders: the
+    // barrier runs every round. A batch can hold a whole run's
+    // deliveries, so each render re-derives its lookup from the
+    // session and grid key (16 bytes, kept inside the std::function)
+    // instead of carrying a copy of it.
+    std::size_t pending = 0;
+    for (const auto &sp : sessions_)
+        pending += sp->pendingRenders.size();
+    if (pending == 0)
         return;
-    // Phase B — only the actual renders fan out over the pool. This is
-    // where the fleet's dominant compute runs N-wide.
-    auto images = support::parallelMap<image::Image>(
-        static_cast<std::int64_t>(claimed.size()), 1,
-        [&](std::int64_t i) {
-            const Claimed &c = claimed[static_cast<std::size_t>(i)];
-            return c.base->frames().renderFarBe(c.lookup, /*threads=*/1);
-        });
-    // Phase C — serial publication in the same order: charging, LRU
-    // bookkeeping, and eviction are pure functions of the batch.
-    for (std::size_t i = 0; i < claimed.size(); ++i)
-        panoCache_->publishClaimed(claimed[i].lookup.key,
-                                   claimed[i].token,
-                                   std::move(images[i]));
+    std::vector<PanoRequest> requests;
+    requests.reserve(pending);
+    for (const auto &sp : sessions_) {
+        const SessionState *s = sp.get();
+        for (const std::uint64_t gridKey : s->pendingRenders) {
+            requests.push_back(
+                {s->renderLookup(gridKey).key, s->id, [s, gridKey] {
+                     return s->spec.base->frames().renderFarBe(
+                         s->renderLookup(gridKey), /*threads=*/1);
+                 }});
+        }
+        sp->pendingRenders.clear();
+    }
+    panoCache_->resolve(requests);
 }
 
 void
@@ -521,7 +511,7 @@ SessionManager::confirmSessionFault(std::uint32_t session, double faultAt)
     obs::flight::recordInstant("fleet.session_fault_confined", "fleet",
                                faultAt);
     // The run already quarantined itself (fetches cancelled, SLO label
-    // frozen); the manager's half is cache claims + capacity release.
+    // frozen); the manager's half is the capacity release.
     finalizeSession(s, SessionPhase::Faulted, faultAt);
 }
 

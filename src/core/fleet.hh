@@ -24,10 +24,11 @@
  *
  *  - **Fault isolation.** Each session runs behind the per-session
  *    error boundary (`FleetHooks`): an exception escaping its event
- *    code quarantines that session — fetches cancelled, pano-cache
- *    claims released, SLO label frozen — without perturbing sibling
- *    frame output (fleet_test asserts siblings byte-identical to solo
- *    runs).
+ *    code quarantines that session — fetches cancelled, SLO label
+ *    frozen — without perturbing sibling frame output (fleet_test
+ *    asserts siblings byte-identical to solo runs). A session holds
+ *    no pano-cache claim between barriers: each round's renders go
+ *    through one `PanoramaRenderCache::resolve` batch.
  *
  * The empty fleet is a strict no-op: one submitted session with the
  * governor disabled produces frame output bit-identical to
@@ -267,8 +268,8 @@ class SessionManager : public FleetHooks
     /** Control-plane half of a fault confinement (may run deferred at
      *  a round barrier; @p faultAt is the faulting lane's sim time). */
     void confirmSessionFault(std::uint32_t session, double faultAt);
-    /** Round-barrier hook: the deferred renderOnFetch batch (serial
-     *  deterministic cache decisions, parallel renders). */
+    /** Round-barrier hook: the deferred renderOnFetch requests as one
+     *  `PanoramaRenderCache::resolve` batch in lane order. */
     void drainRenderBatch();
     void drainAdmissionQueue();
     void armGovernor();

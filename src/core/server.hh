@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "core/pano_cache.hh"
 #include "core/partitioner.hh"
@@ -47,14 +48,6 @@ struct FrameStoreParams
     std::shared_ptr<PanoramaRenderCache> sharedPanoCache;
 };
 
-/** Aggregate result of an offline pre-render + encode pass. */
-struct PrerenderResult
-{
-    std::uint64_t frames = 0;       ///< panoramas rendered + encoded
-    std::uint64_t encodedBytes = 0; ///< total encoded payload
-    double wallSeconds = 0.0;
-};
-
 /**
  * Pre-rendered frame catalogue over one world + grid + partition.
  * Sizes are deterministic per grid point.
@@ -66,42 +59,25 @@ class FrameStore
                const RegionIndex &regions, FrameStoreParams params = {});
 
     /**
-     * The install-time offline pass: render the far-BE panorama at
-     * every @p cellStride-th grid point (cutoff taken from the point's
-     * leaf region) and encode it, with grid points fanned out over the
-     * shared thread pool. @p width/@p height size the panoramas (the
-     * real server renders at panoWidth x panoHeight; callers pick a
-     * reduced resolution for experiments). Deterministic: per-point
-     * encoded sizes are reduced in row-major grid order regardless of
-     * thread count (@p threads: 0 = pool, 1 = serial).
+     * The far-BE panoramas clients standing at @p positions receive,
+     * in order, through one `PanoramaRenderCache::resolve` batch:
+     * positions within the same quantization cell (pitch =
+     * max(@p distThresh, grid spacing) — the paper's FI-location
+     * similarity radius) share one render keyed by the cell's
+     * representative point. @p threads as in renderFarBe; it also
+     * sets the batch's render fan-out. @p cacheOwner is charged for
+     * the renders this batch performs.
      */
-    PrerenderResult prerenderFarBe(std::int64_t cellStride, int width,
-                                   int height, int threads = 0) const;
-
-    /**
-     * The far-BE panorama a client standing at @p pos receives, through
-     * the de-duplicating render cache: positions within the same
-     * quantization cell (pitch = max(@p distThresh, grid spacing) —
-     * the paper's FI-location similarity radius) share one cached
-     * render keyed by the cell's representative point. Concurrent
-     * first requests single-flight; @p threads as in prerenderFarBe.
-     * @p trace (optional) stamps the cache outcome — CacheLookup /
-     * CacheJoin / Render — into the caller's causal frame record.
-     * @p cacheOwner charges the render to a fleet session for
-     * eviction accounting (see PanoramaRenderCache::getOrRender).
-     */
-    std::shared_ptr<const image::Image>
-    farBePanorama(geom::Vec2 pos, double distThresh, int width, int height,
-                  int threads = 0,
-                  obs::FrameTraceContext *trace = nullptr,
-                  std::uint32_t cacheOwner = 0) const;
+    std::vector<std::shared_ptr<const image::Image>>
+    farBePanorama(const std::vector<geom::Vec2> &positions,
+                  double distThresh, int width, int height,
+                  int threads = 0, std::uint32_t cacheOwner = 0) const;
 
     /**
      * A fully-resolved online far-BE lookup: the cache key plus the
-     * render inputs it maps to. Splitting resolution from rendering
-     * lets batched callers (the parallel fleet's barrier render pass)
-     * make all cache decisions serially in a deterministic order and
-     * run only the actual renders in parallel.
+     * render inputs it maps to, i.e. the two halves of a PanoRequest
+     * (callers that batch requests from several stores, like the
+     * fleet's barrier render pass, build their requests from these).
      */
     struct FarBeLookup
     {
@@ -110,16 +86,17 @@ class FrameStore
         double cutoff = 0.0; ///< far-BE cutoff radius at rep
     };
 
-    /** Resolve the lookup farBePanorama(pos, ...) would perform. */
+    /** Resolve the lookup farBePanorama performs for @p pos. */
     FarBeLookup farBeLookup(geom::Vec2 pos, double distThresh, int width,
                             int height) const;
 
     /** Render the panorama a resolved lookup describes (cache-free;
-     *  the caller owns publication). @p threads as in prerenderFarBe. */
+     *  the caller owns publication). @p threads: 0 = rows on the
+     *  shared pool, 1 = serial. */
     image::Image renderFarBe(const FarBeLookup &lookup,
                              int threads = 0) const;
 
-    /** Render-cache effectiveness counters (hits, misses, joins, ...). */
+    /** Render-cache effectiveness counters (hits, misses, ...). */
     PanoCacheStats panoCacheStats() const { return panoCache_->stats(); }
 
     /** The render cache itself (shared across a fleet when injected). */

@@ -108,8 +108,7 @@ void recordSpan(const char *name, const char *category,
 void recordFrameHop(const char *name, const char *label,
                     std::uint32_t session, std::uint16_t client,
                     std::uint64_t frame, double simBeginMs,
-                    double simDurMs, std::uint64_t wallBeginNs,
-                    std::uint64_t wallDurNs);
+                    double simDurMs, std::uint64_t wallBeginNs);
 
 /** Record a frame completion scored against the deadline budget. */
 void recordFrameDone(const char *label, std::uint32_t session,
@@ -189,8 +188,7 @@ recordSpan(const char *, const char *, std::uint64_t, std::uint64_t,
 
 inline void
 recordFrameHop(const char *, const char *, std::uint32_t, std::uint16_t,
-               std::uint64_t, double, double, std::uint64_t,
-               std::uint64_t)
+               std::uint64_t, double, double, std::uint64_t)
 {
 }
 

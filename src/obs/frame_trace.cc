@@ -17,8 +17,6 @@ hopName(Hop hop)
       case Hop::PipeWait:    return "pipe_wait";
       case Hop::Backlog:     return "backlog";
       case Hop::Transfer:    return "transfer";
-      case Hop::CacheLookup: return "cache_lookup";
-      case Hop::CacheJoin:   return "cache_join";
       case Hop::Render:      return "render";
       case Hop::Codec:       return "codec";
       case Hop::Decode:      return "decode";
@@ -39,8 +37,6 @@ hopEventName(Hop hop)
       case Hop::PipeWait:    return "frame.pipe_wait";
       case Hop::Backlog:     return "frame.backlog";
       case Hop::Transfer:    return "frame.transfer";
-      case Hop::CacheLookup: return "frame.cache_lookup";
-      case Hop::CacheJoin:   return "frame.cache_join";
       case Hop::Render:      return "frame.render";
       case Hop::Codec:       return "frame.codec";
       case Hop::Decode:      return "frame.decode";
@@ -57,14 +53,6 @@ FrameTraceContext::hop(Hop h, double beginMs, double endMs)
 {
     if (tracer != nullptr)
         tracer->hop(*this, h, beginMs, endMs);
-}
-
-void
-FrameTraceContext::hopWall(Hop h, std::uint64_t wallBeginNs,
-                           std::uint64_t wallEndNs)
-{
-    if (tracer != nullptr)
-        tracer->hopWall(*this, h, wallBeginNs, wallEndNs);
 }
 
 FrameTracer::FrameTracer(std::string label, double budgetMs)
@@ -113,20 +101,7 @@ FrameTracer::hop(FrameTraceContext &ctx, Hop h, double beginMs,
     ++ctx.hops;
     flight::recordFrameHop(hopEventName(h), flightLabel_, ctx.session,
                            ctx.client, ctx.frame, beginMs, durMs,
-                           wallNs, 0);
-}
-
-void
-FrameTracer::hopWall(FrameTraceContext &ctx, Hop h,
-                     std::uint64_t wallBeginNs, std::uint64_t wallEndNs)
-{
-    COTERIE_ASSERT(ctx.tracer == this, "context from another tracer");
-    const std::uint64_t durNs =
-        wallEndNs >= wallBeginNs ? wallEndNs - wallBeginNs : 0;
-    ++ctx.hops;
-    flight::recordFrameHop(hopEventName(h), flightLabel_, ctx.session,
-                           ctx.client, ctx.frame, -1.0, 0.0,
-                           wallBeginNs, durNs);
+                           wallNs);
 }
 
 void

@@ -6,12 +6,12 @@
  *
  * A `FrameTraceContext` is minted at the client's frame request and
  * travels by value with the work: `Prefetcher` cover-set misses,
- * `net::Channel` transfers, `FrameServer` fan-out and backlog,
- * `PanoramaRenderCache` lookups (including single-flight joins), the
+ * `net::Channel` transfers, `FrameServer` fan-out and backlog, the
  * codec, delivery, and merge/display. Each stage stamps a `Hop` — a
  * sim-time interval plus a wall-clock timestamp — via
- * `FrameTracer::hop()`. Every hop and every frame completion is
- * recorded live into the flight recorder (obs/flight.hh) as a
+ * `FrameTracer::hop()`; every hop carries sim time (there are no
+ * wall-only hops). Every hop and every frame completion is recorded
+ * live into the flight recorder (obs/flight.hh) as a
  * sim-timeline event (pid 2, one track per client); the rings are the
  * only copy of the per-hop detail, and all `trace_report --frames`
  * needs — from a capture or a crash dump alike.
@@ -29,9 +29,12 @@
  * `SloRegistry::global()` under the session label.
  *
  * Determinism: the tracer is observe-only and all exported values are
- * sim-time derived. Records are created and completed from the serial
- * event loop; the mutex exists because pano-cache renders may stamp a
- * session's contexts from pool threads, not to order writers.
+ * sim-time derived. Records are created and completed from one
+ * session's event loop; the mutex exists because under a fleet that
+ * loop is a lane, which different pool threads run in different
+ * rounds, and the control plane reads the tracer at barriers — it
+ * keeps the tracer safe without leaning on the barrier's ordering,
+ * not to order writers.
  */
 
 #pragma once
@@ -53,9 +56,7 @@ enum class Hop : std::uint8_t {
     PipeWait,    ///< queued behind earlier requests on the client pipe
     Backlog,     ///< queued in the server fan-out backlog
     Transfer,    ///< on the wire (one hop per retry attempt)
-    CacheLookup, ///< panorama cache hit
-    CacheJoin,   ///< joined an in-flight render (single-flight)
-    Render,      ///< server-side panorama render
+    Render,      ///< on-device render of the frame
     Codec,       ///< encode on the server
     Decode,      ///< decode on the client
     Sync,        ///< frame-interval sync wait
@@ -99,16 +100,6 @@ struct FrameTraceContext
 
     /** Stamp a hop spanning [beginMs, endMs] sim-time. */
     void hop(Hop h, double beginMs, double endMs);
-
-    /**
-     * Stamp a hop that is wall-clock work inside one sim instant
-     * (server-side cache lookups, single-flight joins, actual
-     * renders): no sim-time attribution, so it never enters the
-     * sim-side critical path, but the wall interval is kept for
-     * forensics.
-     */
-    void hopWall(Hop h, std::uint64_t wallBeginNs,
-                 std::uint64_t wallEndNs);
 };
 
 static_assert(sizeof(FrameTraceContext) == 32,
@@ -145,11 +136,6 @@ class FrameTracer
      *  increments the context's hop counter. No-op when inert. */
     void hop(FrameTraceContext &ctx, Hop h, double beginMs,
              double endMs);
-
-    /** Stamp a wall-only hop (see FrameTraceContext::hopWall) into
-     *  the flight rings; it touches no record. */
-    void hopWall(FrameTraceContext &ctx, Hop h,
-                 std::uint64_t wallBeginNs, std::uint64_t wallEndNs);
 
     /** Link a displayed frame to the completed fetch whose delivery
      *  unblocked it (copies `fetchCtx.dominant`), so critical paths

@@ -3,8 +3,8 @@
  * Shared thread pool and deterministic data-parallel helpers.
  *
  * Every parallel stage of the frame pipeline (panorama rendering, the
- * quadtree partitioner's per-region cutoff searches, offline
- * pre-render + encode, the SSIM kernel) submits work to one persistent,
+ * quadtree partitioner's per-region cutoff searches, the pano cache's
+ * batched renders, the SSIM kernel) submits work to one persistent,
  * lazily-initialized pool instead of spawning threads per call.
  *
  * Determinism contract: `parallelFor` splits [begin, end) into chunks

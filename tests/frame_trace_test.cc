@@ -85,7 +85,7 @@ TEST_F(FrameTraceTest, HopNamesCoverEveryEnumerator)
                   std::string("frame.") + hopName(h));
     }
     EXPECT_EQ(std::string(hopName(Hop::StallWait)), "stall_wait");
-    EXPECT_EQ(std::string(hopName(Hop::CacheJoin)), "cache_join");
+    EXPECT_EQ(std::string(hopName(Hop::Render)), "render");
 }
 
 TEST_F(FrameTraceTest, CompletionComputesLatencyAndCriticalPath)
@@ -146,38 +146,11 @@ TEST_F(FrameTraceTest, StallDescendsIntoLinkedFetch)
     EXPECT_EQ(tracer.complete(orphan, 21.0).criticalPath, "stall_wait");
 }
 
-TEST_F(FrameTraceTest, WallOnlyHopsStayOffTheSimCriticalPath)
-{
-    FrameTracer tracer("t/wall");
-#if COTERIE_FLIGHT_ENABLED
-    flight::startCapture();
-#endif
-    FrameTraceContext ctx =
-        tracer.mint(FrameTracer::Kind::Fetch, 0, 9, 0.0);
-    // An enormous wall-clock cache probe must not beat 1 ms of
-    // sim-time transfer: wall hops carry no sim attribution.
-    ctx.hopWall(Hop::CacheLookup, 0, 50'000'000);
-    ctx.hop(Hop::Transfer, 0.0, 1.0);
-    EXPECT_EQ(tracer.complete(ctx, 1.0).criticalPath, "transfer");
-#if COTERIE_FLIGHT_ENABLED
-    // The wall stamp is kept in the flight rings: the probe sits on
-    // the wall timeline (pid 1) carrying its 50 ms duration.
-    const Json doc = stopCaptureAndLoad();
-    const auto lookups = frameEvents(doc, "frame.cache_lookup", "t/wall");
-    ASSERT_EQ(lookups.size(), 1u);
-    EXPECT_EQ(lookups[0].at("pid").asNumber(), 1.0);
-    EXPECT_DOUBLE_EQ(lookups[0].at("dur").asNumber(), 50'000.0);
-    EXPECT_DOUBLE_EQ(lookups[0].at("args").at("wall_us").asNumber(),
-                     50'000.0);
-#endif
-}
-
 TEST_F(FrameTraceTest, InertContextIsANoOpEverywhere)
 {
     FrameTraceContext inert;
     EXPECT_FALSE(inert.active());
-    inert.hop(Hop::Render, 0.0, 1.0);          // must not crash
-    inert.hopWall(Hop::CacheLookup, 0, 1);
+    inert.hop(Hop::Render, 0.0, 1.0); // must not crash
     FrameTracer tracer("t/inert");
     tracer.complete(inert, 1.0);
     tracer.abort(inert);
@@ -422,7 +395,7 @@ TEST(FlightRecorder, RingWrapsAndDumpParses)
     // kRingCapacity events and the dump must still be valid JSON.
     for (std::size_t i = 0; i < flight::kRingCapacity + 512; ++i)
         flight::recordFrameHop("frame.render", "flight/test", 1,
-                               2, i, static_cast<double>(i), 1.0, 0, 0);
+                               2, i, static_cast<double>(i), 1.0, 0);
     flight::recordFrameDone("flight/test", 1, 2, 999, 1000.0, 21.5,
                             16.7, "render");
     ASSERT_TRUE(flight::dump(path));

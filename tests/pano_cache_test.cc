@@ -1,9 +1,10 @@
 /**
  * @file
- * Panorama render cache: hit/miss accounting, single-flight de-dup,
- * LRU eviction under a byte budget, failure takeover, and end-to-end
- * transparency through FrameStore (a cached far-BE panorama is the
- * exact frame the renderer would have produced).
+ * Panorama render cache: the one `resolve` protocol (serial lookup,
+ * pooled renders, serial publish) — hit/miss accounting, in-batch
+ * de-dup, LRU stamps, owner charging and eviction under a byte budget,
+ * failed renders — and end-to-end transparency through FrameStore (a
+ * cached far-BE panorama is the exact frame the renderer produces).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "core/pano_cache.hh"
 #include "core/server.hh"
@@ -46,76 +48,62 @@ solidImage(int w, int h, std::uint8_t v)
     return img;
 }
 
+/** A 4x4 (48-byte) request whose render bumps @p renders. */
+PanoRequest
+countedRequest(PanoKey key, std::atomic<int> &renders,
+               std::uint32_t owner = 0, std::uint8_t value = 2)
+{
+    return {key, owner, [&renders, value] {
+                ++renders;
+                return solidImage(4, 4, value);
+            }};
+}
+
 TEST(PanoCache, HitMissAndStats)
 {
     PanoramaRenderCache cache(1 << 20);
     std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 9);
-    };
 
-    const auto a1 = cache.getOrRender(testKey(0, 0), render);
-    const auto a2 = cache.getOrRender(testKey(0, 0), render);
-    EXPECT_EQ(a1.get(), a2.get()); // literally the same frame
+    const auto a1 = cache.resolve({countedRequest(testKey(0, 0), renders)});
+    const auto a2 = cache.resolve({countedRequest(testKey(0, 0), renders)});
+    ASSERT_EQ(a1.size(), 1u);
+    EXPECT_EQ(a1[0].get(), a2[0].get()); // literally the same frame
     EXPECT_EQ(renders.load(), 1);
 
-    cache.getOrRender(testKey(1, 0), render);
+    cache.resolve({countedRequest(testKey(1, 0), renders)});
     EXPECT_EQ(renders.load(), 2);
 
     const PanoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.inflightJoins, 0u);
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_EQ(stats.bytes, 2u * 4 * 4 * 3);
     EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_TRUE(cache.resolve({}).empty());
 }
 
-TEST(PanoCache, KeySchemesDoNotCollide)
+TEST(PanoCache, InBatchDuplicateRendersOnce)
 {
-    // Same indices, but one key is grid-scheme (pitchBits == 0) and the
-    // other quantized-location-scheme: they must be distinct entries.
+    // The second request for a key claimed earlier in the same batch
+    // is a hit served by that one render, charged to the first owner.
     PanoramaRenderCache cache(1 << 20);
     std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 1);
-    };
-    PanoKey grid_key = testKey(5, 5);
-    PanoKey cell_key = testKey(5, 5);
-    cell_key.pitchBits = 0x4010000000000000ull; // 4.0
-    cache.getOrRender(grid_key, render);
-    cache.getOrRender(cell_key, render);
-    EXPECT_EQ(renders.load(), 2);
-}
-
-TEST(PanoCache, SingleFlightConcurrentMisses)
-{
-    // N concurrent requests for one key: exactly one render; every
-    // other request is a hit (arrived after completion) or an
-    // inflight join (arrived during the render) — never a second
-    // render.
-    constexpr int kRequests = 16;
-    PanoramaRenderCache cache(1 << 20);
-    std::atomic<int> renders{0};
-    support::parallelFor(
-        0, kRequests, 1,
-        [&](std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i) {
-                const auto img = cache.getOrRender(testKey(7, 7), [&] {
-                    ++renders;
-                    return solidImage(16, 16, 3);
-                });
-                ASSERT_TRUE(img);
-                EXPECT_EQ(img->pixels()[0].r, 3);
-            }
-        },
-        4);
+    const auto out = cache.resolve(
+        {countedRequest(testKey(7, 7), renders, /*owner=*/1, 3),
+         countedRequest(testKey(7, 7), renders, /*owner=*/2, 3)});
     EXPECT_EQ(renders.load(), 1);
+    ASSERT_EQ(out.size(), 2u);
+    ASSERT_TRUE(out[0]);
+    EXPECT_EQ(out[0].get(), out[1].get());
+    EXPECT_EQ(out[0]->pixels()[0].r, 3);
+
     const PanoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits + stats.inflightJoins,
-              static_cast<std::uint64_t>(kRequests - 1));
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(cache.ownerBytes(1), 48u);
+    EXPECT_EQ(cache.ownerBytes(2), 0u);
 }
 
 TEST(PanoCache, LruEvictionUnderByteBudget)
@@ -123,14 +111,13 @@ TEST(PanoCache, LruEvictionUnderByteBudget)
     // Budget fits exactly two 4x4 frames (48 bytes each).
     PanoramaRenderCache cache(96);
     std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 2);
+    const auto one = [&](std::int64_t qx) {
+        cache.resolve({countedRequest(testKey(qx, 0), renders)});
     };
-    cache.getOrRender(testKey(0, 0), render); // A
-    cache.getOrRender(testKey(1, 0), render); // B
-    cache.getOrRender(testKey(0, 0), render); // touch A (hit)
-    cache.getOrRender(testKey(2, 0), render); // C -> evicts LRU = B
+    one(0); // A
+    one(1); // B
+    one(0); // touch A (hit)
+    one(2); // C -> evicts LRU = B
     EXPECT_EQ(renders.load(), 3);
 
     PanoCacheStats stats = cache.stats();
@@ -139,45 +126,55 @@ TEST(PanoCache, LruEvictionUnderByteBudget)
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_LE(stats.bytes, 96u);
 
-    cache.getOrRender(testKey(0, 0), render); // A still resident
+    one(0); // A still resident
     EXPECT_EQ(renders.load(), 3);
-    cache.getOrRender(testKey(1, 0), render); // B was evicted
+    one(1); // B was evicted
+    EXPECT_EQ(renders.load(), 4);
+}
+
+TEST(PanoCache, ResidentHitStampsBeforeTheBatchPublishes)
+{
+    // A is older than B. One batch hits A and renders C: A's stamp
+    // lands in the lookup phase, before C's publish evicts, so the
+    // victim is B — not A, which the batch just used.
+    PanoramaRenderCache cache(96);
+    std::atomic<int> renders{0};
+    cache.resolve({countedRequest(testKey(0, 0), renders)}); // A
+    cache.resolve({countedRequest(testKey(1, 0), renders)}); // B
+    const auto out =
+        cache.resolve({countedRequest(testKey(0, 0), renders),  // A hit
+                       countedRequest(testKey(2, 0), renders)}); // C
+    EXPECT_EQ(renders.load(), 3);
+    ASSERT_TRUE(out[0] && out[1]);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+
+    cache.resolve({countedRequest(testKey(0, 0), renders)}); // A resident
+    EXPECT_EQ(renders.load(), 3);
+    cache.resolve({countedRequest(testKey(1, 0), renders)}); // B evicted
     EXPECT_EQ(renders.load(), 4);
 }
 
 TEST(PanoCache, FailedRenderReleasesClaim)
 {
-    PanoramaRenderCache cache(1 << 20);
-    EXPECT_THROW(cache.getOrRender(
-                     testKey(9, 9),
-                     []() -> Image { throw std::runtime_error("gpu"); }),
-                 std::runtime_error);
-    // The claim was withdrawn: a retry renders fresh instead of
-    // deadlocking on a forever-in-flight entry.
-    std::atomic<int> renders{0};
-    const auto img = cache.getOrRender(testKey(9, 9), [&] {
-        ++renders;
-        return solidImage(4, 4, 8);
-    });
-    EXPECT_EQ(renders.load(), 1);
-    EXPECT_EQ(img->pixels()[0].g, 8);
-    EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(PanoCache, ClearDropsCompletedEntries)
-{
+    // A throwing render publishes nothing from its batch (the claims
+    // die with the call) and rethrows; the next batch renders the key.
     PanoramaRenderCache cache(1 << 20);
     std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 5);
+    const std::vector<PanoRequest> failing{
+        countedRequest(testKey(1, 1), renders),
+        {testKey(9, 9), 0, []() -> Image { throw std::runtime_error("gpu"); }},
     };
-    cache.getOrRender(testKey(0, 0), render);
-    cache.clear();
+    EXPECT_THROW(cache.resolve(failing, /*threads=*/1), std::runtime_error);
     EXPECT_EQ(cache.stats().entries, 0u);
     EXPECT_EQ(cache.stats().bytes, 0u);
-    cache.getOrRender(testKey(0, 0), render);
-    EXPECT_EQ(renders.load(), 2);
+    EXPECT_EQ(cache.ownerBytes(0), 0u);
+
+    const auto img =
+        cache.resolve({countedRequest(testKey(9, 9), renders, 0, 8)});
+    EXPECT_EQ(renders.load(), 2); // (1,1) in the failed batch, then (9,9)
+    EXPECT_EQ(img[0]->pixels()[0].g, 8);
+    EXPECT_EQ(cache.stats().misses, 3u);
+    EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(PanoCache, WorldTagsNeverCollide)
@@ -187,62 +184,34 @@ TEST(PanoCache, WorldTagsNeverCollide)
     // across worlds must never serve one world's sky to another.
     PanoramaRenderCache cache(1 << 20);
     std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 6);
-    };
     PanoKey viking = testKey(3, 3);
     PanoKey fps = testKey(3, 3);
     fps.worldTag = 0x0f95;
-    cache.getOrRender(viking, render);
-    cache.getOrRender(fps, render);
+    cache.resolve({countedRequest(viking, renders),
+                   countedRequest(fps, renders)});
     EXPECT_EQ(renders.load(), 2);
     EXPECT_EQ(cache.stats().hits, 0u);
     EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-TEST(PanoCache, ReleaseClaimsOrphansInFlightRender)
-{
-    // Regression for the fleet claim leak: a session destroyed while
-    // its render is in flight must not leave a forever-pending claim.
-    // releaseClaims fires *during* the render (exactly what session
-    // teardown does); the finished image is handed back uncached.
-    PanoramaRenderCache cache(1 << 20);
-    std::size_t released = 0;
-    const auto img = cache.getOrRender(
-        testKey(2, 2),
-        [&] {
-            released = cache.releaseClaims(/*owner=*/7);
-            return solidImage(4, 4, 4);
-        },
-        nullptr, /*owner=*/7);
-    ASSERT_TRUE(img); // the caller still gets its frame
-    EXPECT_EQ(img->pixels()[0].r, 4);
-    EXPECT_EQ(released, 1u);
-
-    PanoCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.claimsReleased, 1u);
-    EXPECT_EQ(stats.orphanRenders, 1u);
-    EXPECT_EQ(stats.entries, 0u); // never published, never charged
-    EXPECT_EQ(cache.ownerBytes(7), 0u);
-
-    // The key is renderable again by anyone — no deadlocked claim.
-    std::atomic<int> renders{0};
-    cache.getOrRender(testKey(2, 2), [&] {
-        ++renders;
-        return solidImage(4, 4, 4);
-    });
-    EXPECT_EQ(renders.load(), 1);
-}
-
 TEST(PanoCache, CrossOwnerHitsLeaveChargeWithRenderer)
 {
-    // Sibling sessions hit each other's entries for free: the session
-    // that caused the render keeps the residency charge.
+    // The owner is charged when its render publishes, not when it
+    // claims; sibling sessions then hit the entry for free and the
+    // session that caused the render keeps the residency charge.
     PanoramaRenderCache cache(1 << 20);
-    const auto render = [] { return solidImage(4, 4, 1); };
-    cache.getOrRender(testKey(0, 0), render, nullptr, /*owner=*/1);
-    cache.getOrRender(testKey(0, 0), render, nullptr, /*owner=*/2);
+    std::uint64_t chargedDuringRender = ~0ull;
+    cache.resolve({{testKey(0, 0), /*owner=*/1, [&] {
+                        // Renders run outside the lock.
+                        chargedDuringRender = cache.ownerBytes(1);
+                        return solidImage(4, 4, 1);
+                    }}});
+    EXPECT_EQ(chargedDuringRender, 0u);
+    EXPECT_EQ(cache.ownerBytes(1), 48u);
+
+    std::atomic<int> renders{0};
+    cache.resolve({countedRequest(testKey(0, 0), renders, /*owner=*/2)});
+    EXPECT_EQ(renders.load(), 0);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.ownerBytes(1), 48u);
     EXPECT_EQ(cache.ownerBytes(2), 0u);
@@ -257,23 +226,80 @@ TEST(PanoCache, EvictionChargesHeaviestOwnerFirst)
     // sibling's working set.
     PanoramaRenderCache cache(96);
     std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 2);
+    const auto one = [&](std::int64_t qx, std::uint32_t owner) {
+        cache.resolve({countedRequest(testKey(qx, 0), renders, owner)});
     };
-    cache.getOrRender(testKey(0, 0), render, nullptr, 1); // A
-    cache.getOrRender(testKey(1, 0), render, nullptr, 1); // B
-    cache.getOrRender(testKey(2, 0), render, nullptr, 2); // C evicts A
+    one(0, 1); // A
+    one(1, 1); // B
+    one(2, 2); // C evicts A
     EXPECT_EQ(renders.load(), 3);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.ownerBytes(1), 48u);
     EXPECT_EQ(cache.ownerBytes(2), 48u);
 
-    cache.getOrRender(testKey(1, 0), render, nullptr, 1); // B resident
-    cache.getOrRender(testKey(2, 0), render, nullptr, 2); // C resident
+    one(1, 1); // B resident
+    one(2, 2); // C resident
     EXPECT_EQ(renders.load(), 3);
-    cache.getOrRender(testKey(0, 0), render, nullptr, 1); // A was evicted
+    one(0, 1); // A was evicted
     EXPECT_EQ(renders.load(), 4);
+}
+
+TEST(PanoCache, EvictionInsideABatchPicksHeaviestOwnersLru)
+{
+    // Budget fits three frames. One batch publishes A, B, C for
+    // session 1 (at budget) then D for session 2: D's publish evicts
+    // session 1's least recently published entry, A.
+    PanoramaRenderCache cache(144);
+    std::atomic<int> renders{0};
+    const auto out = cache.resolve({countedRequest(testKey(0, 0), renders, 1),
+                                    countedRequest(testKey(1, 0), renders, 1),
+                                    countedRequest(testKey(2, 0), renders, 1),
+                                    countedRequest(testKey(3, 0), renders, 2)});
+    EXPECT_EQ(renders.load(), 4);
+    for (const auto &img : out)
+        EXPECT_TRUE(img); // the caller keeps even the evicted frame
+    const PanoCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 3u);
+    EXPECT_EQ(cache.ownerBytes(1), 96u);
+    EXPECT_EQ(cache.ownerBytes(2), 48u);
+
+    cache.resolve({countedRequest(testKey(1, 0), renders, 1),   // B
+                   countedRequest(testKey(2, 0), renders, 1),   // C
+                   countedRequest(testKey(3, 0), renders, 2)}); // D
+    EXPECT_EQ(renders.load(), 4);
+    cache.resolve({countedRequest(testKey(0, 0), renders, 1)}); // A
+    EXPECT_EQ(renders.load(), 5);
+}
+
+TEST(PanoCache, ConcurrentBatchesKeepOneEntryPerKey)
+{
+    // Two batches over the same keys at once: each key ends up with
+    // exactly one resident entry and one charge, whichever publishes
+    // first, and every request gets its frame.
+    constexpr int kKeys = 8;
+    PanoramaRenderCache cache(1 << 20);
+    std::atomic<int> renders{0};
+    std::vector<PanoRequest> batch;
+    for (int k = 0; k < kKeys; ++k)
+        batch.push_back(countedRequest(testKey(k, 0), renders, 1, 5));
+    support::parallelFor(
+        0, 2, 1,
+        [&](std::int64_t b, std::int64_t e) {
+            for (std::int64_t i = b; i < e; ++i) {
+                for (const auto &img : cache.resolve(batch)) {
+                    ASSERT_TRUE(img);
+                    EXPECT_EQ(img->pixels()[0].b, 5);
+                }
+            }
+        },
+        2);
+    const PanoCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.entries, static_cast<std::uint64_t>(kKeys));
+    EXPECT_EQ(stats.bytes, kKeys * 48u);
+    EXPECT_EQ(cache.ownerBytes(1), stats.bytes);
+    EXPECT_EQ(stats.hits + stats.misses, 2u * kKeys);
+    EXPECT_EQ(static_cast<std::uint64_t>(renders.load()), stats.misses);
 }
 
 /** FrameStore integration over a real world + partition. */
@@ -287,6 +313,19 @@ struct PanoCacheFixture : testing::Test
           regions(world.bounds(), partition.leaves),
           frames(world, grid, regions)
     {
+    }
+
+    /** One position in each of @p n cells along a row. */
+    std::vector<Vec2>
+    distinctCells(int n, double thresh) const
+    {
+        const double pitch = std::max(thresh, grid.spacing());
+        const geom::Rect &b = world.bounds();
+        std::vector<Vec2> out;
+        for (int i = 0; i < n; ++i)
+            out.push_back({b.lo.x + (2.0 * i + 2.4) * pitch,
+                           b.lo.y + 3.6 * pitch});
+        return out;
     }
 
     world::VirtualWorld world;
@@ -307,11 +346,10 @@ TEST_F(PanoCacheFixture, SameCellSharesOneRender)
     const Vec2 p2{b.lo.x + 2.75 * pitch, b.lo.y + 2.75 * pitch};
     const Vec2 p3{b.lo.x + 3.25 * pitch, b.lo.y + 2.25 * pitch};
 
-    const auto f1 = frames.farBePanorama(p1, thresh, 48, 24);
-    const auto f2 = frames.farBePanorama(p2, thresh, 48, 24);
-    const auto f3 = frames.farBePanorama(p3, thresh, 48, 24);
-    EXPECT_EQ(f1.get(), f2.get()); // shared cached frame
-    EXPECT_NE(f1.get(), f3.get());
+    const auto f = frames.farBePanorama({p1, p2, p3}, thresh, 48, 24);
+    ASSERT_EQ(f.size(), 3u);
+    EXPECT_EQ(f[0].get(), f[1].get()); // shared cached frame
+    EXPECT_NE(f[0].get(), f[2].get());
 
     const PanoCacheStats stats = frames.panoCacheStats();
     EXPECT_EQ(stats.misses, 2u);
@@ -324,7 +362,17 @@ TEST_F(PanoCacheFixture, CachedPanoramaMatchesDirectRender)
     const double pitch = std::max(thresh, grid.spacing());
     const geom::Rect &b = world.bounds();
     const Vec2 pos{b.lo.x + 5.6 * pitch, b.lo.y + 4.4 * pitch};
-    const auto cached = frames.farBePanorama(pos, thresh, 48, 24);
+    std::vector<Vec2> positions = distinctCells(3, thresh);
+    positions.push_back(pos);
+    const auto cached = frames.farBePanorama(positions, thresh, 48, 24);
+
+    // Every served frame is byte-equal to the store's own uncached
+    // render of the same lookup.
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+        const Image direct = frames.renderFarBe(
+            frames.farBeLookup(positions[i], thresh, 48, 24));
+        EXPECT_TRUE(cached[i]->pixels() == direct.pixels()) << i;
+    }
 
     // Reconstruct the cell-representative render the cache performs.
     const auto qx = static_cast<std::int64_t>(
@@ -339,29 +387,31 @@ TEST_F(PanoCacheFixture, CachedPanoramaMatchesDirectRender)
     opts.layer = render::DepthLayer::farBe(regions.cutoffAt(rep));
     const Image direct =
         renderer.renderPanorama(world.eyePosition(rep), 48, 24, opts);
-    EXPECT_TRUE(cached->pixels() == direct.pixels());
+    EXPECT_TRUE(cached.back()->pixels() == direct.pixels());
 }
 
-TEST_F(PanoCacheFixture, PrerenderSecondPassIsAllHits)
+TEST_F(PanoCacheFixture, SecondBatchIsAllHits)
 {
-    const auto first = frames.prerenderFarBe(192, 32, 16);
-    const PanoCacheStats after_first = frames.panoCacheStats();
-    EXPECT_EQ(after_first.misses, first.frames);
+    const std::vector<Vec2> positions = distinctCells(6, 8.0);
+    const auto first = frames.farBePanorama(positions, 8.0, 32, 16);
+    const PanoCacheStats afterFirst = frames.panoCacheStats();
+    EXPECT_EQ(afterFirst.misses, positions.size());
+    EXPECT_EQ(afterFirst.hits, 0u);
 
-    const auto second = frames.prerenderFarBe(192, 32, 16);
-    const PanoCacheStats after_second = frames.panoCacheStats();
-    EXPECT_EQ(second.frames, first.frames);
-    EXPECT_EQ(second.encodedBytes, first.encodedBytes);
-    // Every second-pass frame came out of the cache.
-    EXPECT_EQ(after_second.misses, after_first.misses);
-    EXPECT_EQ(after_second.hits, after_first.hits + second.frames);
+    const auto second = frames.farBePanorama(positions, 8.0, 32, 16);
+    const PanoCacheStats afterSecond = frames.panoCacheStats();
+    // Every second-batch frame came out of the cache.
+    EXPECT_EQ(afterSecond.misses, afterFirst.misses);
+    EXPECT_EQ(afterSecond.hits, positions.size());
+    for (std::size_t i = 0; i < positions.size(); ++i)
+        EXPECT_EQ(first[i].get(), second[i].get());
 }
 
 TEST_F(PanoCacheFixture, EightClientsRenderOncePerDistinctCell)
 {
-    // Four position pairs, each pair within one quantization cell:
-    // eight "clients" cost exactly four renders (ISSUE acceptance:
-    // renders == distinct quantized locations).
+    // Four position pairs, each pair within one quantization cell, in
+    // one batch: eight clients cost exactly four renders, and the
+    // second client of each pair is a hit.
     const double thresh = 8.0;
     const double pitch = std::max(thresh, grid.spacing());
     const geom::Rect &b = world.bounds();
@@ -372,29 +422,27 @@ TEST_F(PanoCacheFixture, EightClientsRenderOncePerDistinctCell)
         clients.push_back({cx, cy});
         clients.push_back({cx + 0.4 * pitch, cy + 0.4 * pitch});
     }
-    support::parallelFor(
-        0, static_cast<std::int64_t>(clients.size()), 1,
-        [&](std::int64_t s, std::int64_t e) {
-            for (std::int64_t i = s; i < e; ++i)
-                frames.farBePanorama(clients[static_cast<std::size_t>(i)],
-                                     thresh, 32, 16);
-        },
-        4);
+    const auto out = frames.farBePanorama(clients, thresh, 32, 16);
+    for (std::size_t pair = 0; pair < 4; ++pair)
+        EXPECT_EQ(out[2 * pair].get(), out[2 * pair + 1].get());
     const PanoCacheStats stats = frames.panoCacheStats();
     EXPECT_EQ(stats.misses, 4u);
-    EXPECT_EQ(stats.hits + stats.inflightJoins, 4u);
+    EXPECT_EQ(stats.hits, 4u);
+    EXPECT_EQ(stats.inflightJoins, 0u);
 }
 
 TEST_F(PanoCacheFixture, SerialAndPooledRendersAreBitIdentical)
 {
-    // Two independent stores so both actually render: one serial, one
-    // on the pool. The frames must match bit for bit (the determinism
-    // invariant the cache relies on to share frames across clients).
+    // Two independent stores so both actually render: one batch
+    // serial, one fanned out on the pool. The frames must match bit
+    // for bit (the determinism invariant the cache relies on to share
+    // frames across clients).
     FrameStore serial(world, grid, regions);
-    const Vec2 pos = world.bounds().center();
-    const auto pooled = frames.farBePanorama(pos, 8.0, 64, 32, 0);
-    const auto single = serial.farBePanorama(pos, 8.0, 64, 32, 1);
-    EXPECT_TRUE(pooled->pixels() == single->pixels());
+    const std::vector<Vec2> positions = distinctCells(4, 8.0);
+    const auto pooled = frames.farBePanorama(positions, 8.0, 64, 32, 0);
+    const auto single = serial.farBePanorama(positions, 8.0, 64, 32, 1);
+    for (std::size_t i = 0; i < positions.size(); ++i)
+        EXPECT_TRUE(pooled[i]->pixels() == single[i]->pixels()) << i;
 }
 
 TEST_F(PanoCacheFixture, SameWorldStoresShareOneCacheAcrossSessions)
@@ -412,11 +460,11 @@ TEST_F(PanoCacheFixture, SameWorldStoresShareOneCacheAcrossSessions)
     ASSERT_EQ(&store1.panoCache(), shared.get());
 
     const Vec2 pos = world.bounds().center();
-    const auto first = store1.farBePanorama(pos, 8.0, 48, 24, 1, nullptr,
-                                            /*cacheOwner=*/1);
-    const auto second = store2.farBePanorama(pos, 8.0, 48, 24, 1, nullptr,
-                                             /*cacheOwner=*/2);
-    EXPECT_EQ(first.get(), second.get()); // literally the same frame
+    const auto first =
+        store1.farBePanorama({pos}, 8.0, 48, 24, 1, /*cacheOwner=*/1);
+    const auto second =
+        store2.farBePanorama({pos}, 8.0, 48, 24, 1, /*cacheOwner=*/2);
+    EXPECT_EQ(first[0].get(), second[0].get()); // the same frame
     const PanoCacheStats stats = shared->stats();
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 1u);
@@ -444,8 +492,8 @@ TEST_F(PanoCacheFixture, DifferentWorldsNeverShareRenders)
     ASSERT_NE(viking.worldTag(), fps.worldTag());
 
     const Vec2 pos = world.bounds().center();
-    viking.farBePanorama(pos, 8.0, 48, 24, 1, nullptr, 1);
-    fps.farBePanorama(pos, 8.0, 48, 24, 1, nullptr, 2);
+    viking.farBePanorama({pos}, 8.0, 48, 24, 1, 1);
+    fps.farBePanorama({pos}, 8.0, 48, 24, 1, 2);
     const PanoCacheStats stats = shared->stats();
     EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.hits, 0u);
